@@ -17,6 +17,7 @@ setup(
     python_requires=">=3.10",
     package_dir={"": "src"},
     packages=find_packages("src"),
+    install_requires=["numpy"],
     entry_points={
         "console_scripts": [
             "repro = repro.cli:main",

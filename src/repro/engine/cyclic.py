@@ -402,9 +402,9 @@ class _CyclicPlanAdapter:
     touch — ``execute_state``, ``execute_batch``, ``max_interned_values`` —
     but runs the owner's classic prologue (node materialization + guard
     semijoins) before handing the *derived* state to the inner tree-schema
-    plan.  This is what lets the parallel shard body, the shm fallback path,
-    the in-process executor and the routing prober run a cyclic plan without
-    knowing it is one.
+    plan.  This is what lets the parallel shard body, the in-process
+    executor and the routing prober run a cyclic plan without knowing it is
+    one.
     """
 
     __slots__ = ("_owner", "_plan", "_backend")
@@ -514,8 +514,8 @@ class CyclicPreparedQuery:
     )
 
     #: Marks this plan as cyclic for duck-typed dispatch
-    #: (:meth:`~repro.engine.parallel.PlanSpec.of` and the shm transport
-    #: check this instead of importing the class).
+    #: (:meth:`~repro.engine.parallel.PlanSpec.of` checks this instead of
+    #: importing the class).
     is_cyclic_plan = True
 
     def __init__(
@@ -863,7 +863,6 @@ class CyclicPreparedQuery:
         shard_timeout: Optional[float] = None,
         max_retries: Optional[int] = None,
         failure_policy: Optional[str] = None,
-        transport: Optional[str] = None,
     ) -> List[YannakakisRun]:
         """Execute the plan against each state, amortizing the planning cost.
 
@@ -873,9 +872,7 @@ class CyclicPreparedQuery:
         dedup of repeated states before the prologue runs), and
         ``backend="parallel"`` ships the plan to the process pool as a cyclic
         :class:`~repro.engine.parallel.PlanSpec` (workers rebuild via
-        ``prepare_cyclic`` and run the same prologue per shard; the shm
-        transport's zero-copy vectorized attach is skipped, since the wire
-        format carries the *original* relations, not the node states).
+        ``prepare_cyclic`` and run the same prologue per shard).
         """
         resolved = resolve_backend(backend)
         if executor is not None and backend not in ("parallel", "auto"):
@@ -888,8 +885,6 @@ class CyclicPreparedQuery:
                 overrides["max_retries"] = max_retries
             if failure_policy is not None:
                 overrides["failure_policy"] = failure_policy
-            if transport is not None:
-                overrides["transport"] = transport
             if executor is not None:
                 if workers is not None:
                     raise ValueError(
@@ -913,12 +908,10 @@ class CyclicPreparedQuery:
             shard_timeout is not None
             or max_retries is not None
             or failure_policy is not None
-            or transport is not None
         ):
             raise ValueError(
-                "shard_timeout=/max_retries=/failure_policy=/transport= "
-                "require backend='parallel'; the serial backends run "
-                "in-process"
+                "shard_timeout=/max_retries=/failure_policy= require "
+                "backend='parallel'; the serial backends run in-process"
             )
         state_list = states if isinstance(states, list) else list(states)
         resolved = resolve_backend_for(backend, state_list)

@@ -29,7 +29,7 @@ from ..hypergraph.qual_graph import QualGraph
 from ..hypergraph.schema import Attribute, DatabaseSchema, RelationSchema
 from ..relational.compiled import CompiledPlan, compile_plan
 from ..relational.database import DatabaseState
-from ..relational.vectorized import VectorizedPlan, numpy_available, vectorize_plan
+from ..relational.vectorized import VectorizedPlan, vectorize_plan
 from ..relational.relation import Relation
 from ..relational.yannakakis import (
     SemijoinStep,
@@ -57,13 +57,12 @@ _BACKENDS = ("auto", "classic", "compiled", "parallel", "vectorized")
 def resolve_backend(backend: str) -> str:
     """Normalize a backend name: ``auto`` resolves to the fastest serial kernel.
 
-    With numpy importable that is the array-backed vectorized kernel of
-    :mod:`repro.relational.vectorized`; without it, the compiled
-    interned-value backend (the vectorized row-program fallback adds
-    indirection over the same step program, so ``auto`` does not pay for
-    it).  Both compute exactly what the classic object-tuple operators
-    compute — the equivalence suites hold on every exposed entry point —
-    so ``auto`` always takes a fast path; ``classic`` remains available as
+    That is the array-backed vectorized kernel of
+    :mod:`repro.relational.vectorized` (:func:`resolve_backend_for` routes
+    small batches down to the compiled interned-value backend).  Both
+    compute exactly what the classic object-tuple operators compute — the
+    equivalence suites hold on every exposed entry point — so ``auto``
+    always takes a fast path; ``classic`` remains available as
     the oracle and for A/B timing.  ``parallel`` (the sharded process-pool
     layer of :mod:`repro.engine.parallel`) resolves to itself — it batches
     states across workers and is therefore accepted only by
@@ -74,12 +73,12 @@ def resolve_backend(backend: str) -> str:
             f"unknown backend {backend!r}; expected one of {', '.join(_BACKENDS)}"
         )
     if backend == "auto":
-        return "vectorized" if numpy_available() else "compiled"
+        return "vectorized"
     return backend
 
 
 #: Below this many total rows per state, ``auto`` keeps the compiled
-#: backend even with numpy importable: the array kernel pays a fixed
+#: backend: the array kernel pays a fixed
 #: per-call toll (ndarray construction, argsort/searchsorted dispatch) on
 #: every relation it touches, and on tiny states that toll dwarfs the
 #: work.  The crossover sits around 200–250 total rows on the PR-8
@@ -125,9 +124,8 @@ def vectorized_batch_profitable(
     ``(relation_count − VECTORIZED_NARROW_RELATIONS)`` (wide schemas of
     many small relations lose to the per-join array-setup toll even when
     total rows look large; narrow schemas are floor-only).  This single
-    predicate backs the serial seam (:func:`resolve_backend_for`), the
-    parallel shard downgrade and the shm zero-copy attach, so the three
-    routing points cannot drift.
+    predicate backs the serial seam (:func:`resolve_backend_for`) and the
+    parallel shard downgrade, so the two routing points cannot drift.
     """
     if state_count <= 0:
         return False
@@ -149,10 +147,10 @@ def resolve_backend_for(
     """Resolve ``backend`` with the workload in hand: ``auto`` upgrades to
     the vectorized kernel only when it is profitable.
 
-    :func:`resolve_backend` answers the static question (which kernels can
-    run here); this answers the routing question (which kernel *should* run
-    this batch).  ``auto`` resolves to ``"vectorized"`` when numpy is
-    importable **and** the batch clears the shape-aware gate of
+    :func:`resolve_backend` answers the static question (which kernel is
+    fastest in general); this answers the routing question (which kernel
+    *should* run this batch).  ``auto`` resolves to ``"vectorized"`` when
+    the batch clears the shape-aware gate of
     :func:`vectorized_batch_profitable` — mean state size over the
     :data:`VECTORIZED_MIN_STATE_ROWS` floor *and* enough rows per relation
     to amortize the per-join array toll; otherwise it stays on the compiled
@@ -160,7 +158,7 @@ def resolve_backend_for(
     amortize.  Explicit backend names are never second-guessed.
     """
     resolved = resolve_backend(backend)
-    if backend != "auto" or resolved != "vectorized":
+    if backend != "auto":
         return resolved
     if not states:
         return "compiled"
@@ -394,9 +392,7 @@ class PreparedQuery:
         """The array-backed vectorized plan, built lazily and cached.
 
         Like :attr:`compiled`, the plan owns its interner and per-slot
-        encoding cache, shared by every state this query executes.  It is
-        built against the numpy kernel when numpy imports and against the
-        stdlib ``array`` row-program fallback otherwise; see
+        encoding cache, shared by every state this query executes; see
         :mod:`repro.relational.vectorized`.
         """
         plan = self._vectorized
@@ -479,8 +475,7 @@ class PreparedQuery:
 
         ``backend`` selects the execution kernel: ``"auto"`` (the default)
         routes through the array-backed vectorized kernel of
-        :mod:`repro.relational.vectorized` when numpy is importable *and*
-        the state is large enough to amortize the array toll
+        :mod:`repro.relational.vectorized` when the state is large enough to amortize the array toll
         (:data:`VECTORIZED_MIN_STATE_ROWS` total rows), and the
         interned-value columnar backend of :mod:`repro.relational.compiled`
         otherwise; ``"vectorized"``/``"compiled"`` request those kernels
@@ -558,13 +553,12 @@ class PreparedQuery:
         shard_timeout: Optional[float] = None,
         max_retries: Optional[int] = None,
         failure_policy: Optional[str] = None,
-        transport: Optional[str] = None,
     ) -> List[YannakakisRun]:
         """Execute the plan against each state, amortizing the planning cost.
 
         With a serial columnar backend (``"auto"`` picks the vectorized
-        kernel when numpy is importable and the batch's mean state size
-        clears :data:`VECTORIZED_MIN_STATE_ROWS`, the compiled backend
+        kernel when the batch clears the shape-aware gate of
+        :func:`vectorized_batch_profitable`, the compiled backend
         otherwise) this is a true batch: all states share the plan's
         interning dictionaries and per-slot encoding cache, so a slot whose
         rows repeat across states is encoded — and its key indexes built —
@@ -589,11 +583,10 @@ class PreparedQuery:
         The robustness knobs — ``shard_timeout`` (seconds per shard attempt),
         ``max_retries`` (resubmissions before bisection) and
         ``failure_policy`` (``"raise"`` or ``"degrade"``) — apply to parallel
-        execution only and are rejected for the serial backends, as is
-        ``transport`` (``"pickle"`` or ``"shm"``), which picks how states
-        cross the process boundary.  When an ``executor`` is supplied they
-        override its configured defaults for this batch; left ``None``, the
-        executor's (or the environment's) defaults apply.  Under
+        execution only and are rejected for the serial backends.  When an
+        ``executor`` is supplied they override its configured defaults for
+        this batch; left ``None``, the executor's (or the environment's)
+        defaults apply.  Under
         ``failure_policy="degrade"`` the returned list contains ``None`` at
         quarantined input positions; see :mod:`repro.engine.parallel` and
         ``docs/robustness.md``.
@@ -619,8 +612,6 @@ class PreparedQuery:
                 overrides["max_retries"] = max_retries
             if failure_policy is not None:
                 overrides["failure_policy"] = failure_policy
-            if transport is not None:
-                overrides["transport"] = transport
             if executor is not None:
                 if workers is not None:
                     raise ValueError(
@@ -653,12 +644,10 @@ class PreparedQuery:
             shard_timeout is not None
             or max_retries is not None
             or failure_policy is not None
-            or transport is not None
         ):
             raise ValueError(
-                "shard_timeout=/max_retries=/failure_policy=/transport= "
-                "require backend='parallel'; the serial backends run "
-                "in-process"
+                "shard_timeout=/max_retries=/failure_policy= require "
+                "backend='parallel'; the serial backends run in-process"
             )
         state_list = states if isinstance(states, list) else list(states)
         resolved = resolve_backend_for(backend, state_list)

@@ -12,7 +12,7 @@ a cost model that every later batch reuses.
 :class:`RoutingPolicy` implements that model:
 
 * **Probe.**  The first decision for a plan times a few executions of the
-  serial kernel ``auto`` resolves to — vectorized when numpy imports,
+  serial kernel ``auto`` resolves to — vectorized on row-heavy batches,
   compiled otherwise (:data:`DEFAULT_PROBE_STATES` sample states) — and
   caches the measured per-row seconds on the plan's
   :class:`~repro.engine.analysis.AnalyzedSchema`
@@ -72,7 +72,7 @@ DEFAULT_PROBE_STATES = 3
 
 #: Cross-process cost charged per unique state: dispatch pickling, result
 #: unpickling and reassembly.  Seeded from the PR-5 measurement (~86 µs per
-#: msmall state over the pickle transport).
+#: msmall state).
 DEFAULT_DISPATCH_PER_STATE_S = 86e-6
 
 #: Fixed per-batch cost of the supervised dispatch loop (sharding, submit,
@@ -102,7 +102,7 @@ class RoutingDecision:
     """One routing verdict with the evidence that produced it.
 
     ``backend`` is the resolved execution backend — the serial kernel
-    ``auto`` resolves to (``"vectorized"`` when numpy imports, else
+    ``auto`` resolves to (``"vectorized"`` on row-heavy batches, else
     ``"compiled"``) or ``"parallel"``; an explicit override may carry any
     backend name, ``"classic"`` included.  ``rule``
     is a stable machine-readable tag naming the branch that decided
@@ -219,9 +219,9 @@ class RoutingPolicy:
         Returns the pinned ``per_row_s`` if configured, else the value cached
         on the plan's analysis, else times up to ``probe_states`` sample
         states (spread across the batch) on the serial kernel ``auto``
-        resolves to *for this batch* — the vectorized backend when numpy
-        imports and the states are big enough to amortize the array toll,
-        compiled otherwise — and caches the result keyed by that backend,
+        resolves to *for this batch* — the vectorized backend when the
+        states are big enough to amortize the array toll, compiled
+        otherwise — and caches the result keyed by that backend,
         so a vectorized calibration never masquerades as a compiled one.  The
         probed executions go through the plan's encode cache, so a following
         batch re-executes them nearly for free.

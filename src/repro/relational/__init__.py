@@ -26,19 +26,14 @@ kernel against them on random schemas and states.
 Since PR 8 :mod:`repro.relational.vectorized` layers an array-backed kernel
 over the same interned encoding: contiguous int64 code columns, semijoins as
 membership masks over sorted key arrays, joins as ``searchsorted`` bucket
-matches plus index gathers (numpy when importable, a stdlib ``array``
-row-program fallback otherwise).  ``backend="auto"`` prefers it when numpy
-is present; classic and compiled stay as the property-test oracles.
+matches plus index gathers, all in numpy.  ``backend="auto"`` prefers it
+on row-heavy batches; classic and compiled stay as the property-test
+oracles.
 """
 
 from .relation import Relation, Row
 from .compiled import CompiledPlan, CompiledState, ExecutionStats, compile_plan
-from .vectorized import (
-    VectorizedPlan,
-    VectorizedState,
-    numpy_available,
-    vectorize_plan,
-)
+from .vectorized import VectorizedPlan, VectorizedState, vectorize_plan
 from .algebra import (
     intermediate_join_sizes,
     join_all,
@@ -92,7 +87,6 @@ __all__ = [
     "compile_plan",
     "VectorizedPlan",
     "VectorizedState",
-    "numpy_available",
     "vectorize_plan",
     "project",
     "natural_join",

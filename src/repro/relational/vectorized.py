@@ -11,8 +11,7 @@ shared verbatim, so the step semantics — and the stats lineages — are
 identical by construction) over contiguous int64 **code arrays**:
 
 * **Representation.**  Each relation slot encodes column-major into one
-  contiguous int64 array per column (`numpy` when importable; the stdlib
-  ``array`` module otherwise, so the dependency stays optional).  Composite
+  contiguous ``numpy`` int64 array per column.  Composite
   join keys pack their columns into a C-contiguous ``(n, k)`` block viewed as
   a ``numpy`` void dtype — one fixed-width scalar per row — so every kernel
   below works uniformly for single- and multi-column keys.
@@ -57,20 +56,8 @@ a new interner epoch at the next state-encode boundary, and per-state
 decoders captured at encode time so in-flight states decode against the
 epoch that minted their codes.
 
-**No-numpy fallback.**  Without numpy, columns encode into ``array('q')``
-buffers and execution zips them back to code-tuple rows, running the *exact*
-compiled row program (:func:`repro.relational.compiled.execute_row_program`
-over :func:`~repro.relational.compiled.build_row_ops` programs) — a
-correctness-grade engine proving the dependency optional, equivalence-tested
-on the same suite.
-
 **Process boundaries.**  Like a ``CompiledPlan``, a ``VectorizedPlan`` never
-crosses a process boundary; workers rebuild plans from ``PlanSpec``.  The
-shm transport's raw-int64 blocks are *exactly* this backend's identity-mode
-column encoding, so :func:`shm_attach_state` adopts a shard payload into
-column arrays directly — one ``frombuffer`` + transpose copy per relation,
-no ``DatabaseState`` detour — whenever every block is int64 and no attribute
-has gone dictionary-mode.
+crosses a process boundary; workers rebuild plans from ``PlanSpec``.
 
 The classic executor remains the property-test oracle
 (``tests/relational/test_vectorized_equivalence.py``), with the compiled
@@ -80,15 +67,11 @@ backend as a second cross-check.
 from __future__ import annotations
 
 import threading
-from array import array
 from collections import OrderedDict
 from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-try:  # pragma: no cover - absence is exercised by the no-numpy test leg
-    import numpy as _np
-except Exception:  # pragma: no cover
-    _np = None
+import numpy as np
 
 from ..exceptions import SchemaError
 from .compiled import (
@@ -99,31 +82,18 @@ from .compiled import (
     _JOIN_SEMI_MOTHER,
     _MODE_DICT,
     _MODE_IDENTITY,
-    _SHM_INT64_HEADER,
-    _SHM_KIND_INT64,
-    _SHM_STATE_HEADER,
     _USE_DEFAULT_CAP,
-    build_row_ops,
-    execute_row_program,
     plan_layout,
 )
 from .database import DatabaseState
-from .relation import Relation, pure_int_column
+from .relation import Relation
 from .yannakakis import YannakakisRun
 
 __all__ = [
     "VectorizedPlan",
     "VectorizedState",
-    "numpy_available",
-    "shm_attach_state",
     "vectorize_plan",
 ]
-
-
-def numpy_available() -> bool:
-    """True when the numpy kernel backs new :class:`VectorizedPlan` objects
-    (``repro.relational.vectorized._np`` is the patch point for tests)."""
-    return _np is not None
 
 
 class _PromoteToDict(Exception):
@@ -143,21 +113,16 @@ class _PromoteToDict(Exception):
 class _VecEncoding:
     """Encoded columns of one relation slot plus its reusable key indexes.
 
-    ``columns`` holds one contiguous int64 code array per column (numpy
-    arrays or ``array('q')`` buffers, matching the owning plan's engine) and
+    ``columns`` holds one contiguous numpy int64 code array per column and
     ``n`` the row count — kept explicitly so zero-width (nullary) slots
     still know their cardinality.  ``keysets`` caches sorted-unique key
-    arrays per key-position tuple (plain Python sets in the fallback
-    engine); ``keyarrays`` caches packed per-row key arrays; ``buckets``
-    caches per-join-step structures.  Encodings held in a batch cache are
-    shared across states, so cached indexes amortize exactly like the
-    compiled backend's.
-
-    ``rows`` materializes code-tuple rows lazily — only the no-numpy
-    fallback engine (which runs the compiled row program) ever touches it.
+    arrays per key-position tuple; ``keyarrays`` caches packed per-row key
+    arrays; ``buckets`` caches per-join-step structures.  Encodings held in
+    a batch cache are shared across states, so cached indexes amortize
+    exactly like the compiled backend's.
     """
 
-    __slots__ = ("columns", "n", "keysets", "keyarrays", "buckets", "_rows")
+    __slots__ = ("columns", "n", "keysets", "keyarrays", "buckets")
 
     def __init__(self, columns: Tuple[Any, ...], n: int) -> None:
         self.columns = columns
@@ -165,31 +130,17 @@ class _VecEncoding:
         self.keysets: Dict[Tuple[int, ...], Any] = {}
         self.keyarrays: Dict[Tuple[int, ...], Any] = {}
         self.buckets: Dict[int, Any] = {}
-        self._rows: Optional[Tuple[Tuple[int, ...], ...]] = None
-
-    @property
-    def rows(self) -> Tuple[Tuple[int, ...], ...]:
-        rows = self._rows
-        if rows is None:
-            if self.columns:
-                rows = tuple(zip(*self.columns))
-            else:
-                rows = ((),) * self.n
-            self._rows = rows
-        return rows
 
 
 # -- numpy kernels ---------------------------------------------------------------
 #
-# All helpers take the numpy module explicitly (the plan pins it at
-# construction) and treat int64 1-D arrays and fixed-width void arrays
-# uniformly: a void scalar is the packed bytes of one composite key row, and
+# All helpers treat int64 1-D arrays and fixed-width void arrays uniformly: a void scalar is the packed bytes of one composite key row, and
 # ``unique``/``searchsorted``/``argsort``/``==`` all operate on it like any
 # scalar dtype.  Byte order of the void comparisons is not numeric order,
 # but every kernel only needs a *consistent* total order on both sides.
 
 
-def _build_key(np, columns, n: int, kpos: Tuple[int, ...]):
+def _build_key(columns, n: int, kpos: Tuple[int, ...]):
     """Pack the key columns at ``kpos`` into one array of per-row keys.
 
     Empty keys pack as zeros (every row shares one key — the degenerate
@@ -208,16 +159,16 @@ def _build_key(np, columns, n: int, kpos: Tuple[int, ...]):
     return block.view(np.dtype((np.void, 8 * k))).ravel()
 
 
-def _key_array(np, encoding: _VecEncoding, kpos: Tuple[int, ...]):
+def _key_array(encoding: _VecEncoding, kpos: Tuple[int, ...]):
     """Per-row key array for an encoding, cached per key-position tuple."""
     cached = encoding.keyarrays.get(kpos)
     if cached is None:
-        cached = _build_key(np, encoding.columns, encoding.n, kpos)
+        cached = _build_key(encoding.columns, encoding.n, kpos)
         encoding.keyarrays[kpos] = cached
     return cached
 
 
-def _member_mask(np, sorted_unique, keys):
+def _member_mask(sorted_unique, keys):
     """Boolean mask: which of ``keys`` occur in the sorted-unique array."""
     if len(sorted_unique) == 0:
         return np.zeros(len(keys), dtype=bool)
@@ -230,7 +181,7 @@ def _member_mask(np, sorted_unique, keys):
 _DENSE_DEDUP_SLACK = 4
 
 
-def _unique_rows_index(np, encoding: _VecEncoding, positions: Tuple[int, ...]):
+def _unique_rows_index(encoding: _VecEncoding, positions: Tuple[int, ...]):
     """Indices of one representative of each distinct row at ``positions``.
 
     Within-relation dedup needs no cross-relation key representation, so it
@@ -278,7 +229,7 @@ def _unique_rows_index(np, encoding: _VecEncoding, positions: Tuple[int, ...]):
     return representative
 
 
-def _filtered(np, encoding: _VecEncoding, mask) -> _VecEncoding:
+def _filtered(encoding: _VecEncoding, mask) -> _VecEncoding:
     """A fresh encoding keeping the masked rows of every column."""
     return _VecEncoding(
         tuple(column[mask] for column in encoding.columns),
@@ -286,12 +237,12 @@ def _filtered(np, encoding: _VecEncoding, mask) -> _VecEncoding:
     )
 
 
-def _empty_like(np, width: int) -> _VecEncoding:
+def _empty_like(width: int) -> _VecEncoding:
     empty = np.empty(0, dtype=np.int64)
     return _VecEncoding(tuple(empty for _ in range(width)), 0)
 
 
-def _general_bucket(np, child: _VecEncoding, op):
+def _general_bucket(child: _VecEncoding, op):
     """Group a general-join child by its key, early projection folded in.
 
     Returns ``(group_keys, starts, counts, new_sorted, proj_len)``:
@@ -303,15 +254,15 @@ def _general_bucket(np, child: _VecEncoding, op):
     if op.extract_pos is not None:
         # Composed projection: dedup the (key, new) extraction — which IS
         # the projected child — then split by the fixed key width.
-        index = _unique_rows_index(np, child, op.extract_pos)
+        index = _unique_rows_index(child, op.extract_pos)
         extracted = [child.columns[p][index] for p in op.extract_pos]
         m = len(index)
         proj_len: Optional[int] = m
-        key = _build_key(np, extracted, m, tuple(range(op.kw)))
+        key = _build_key(extracted, m, tuple(range(op.kw)))
         new_source = extracted[op.kw :]
     else:
         proj_len = None
-        key = _key_array(np, child, op.ckey)
+        key = _key_array(child, op.ckey)
         new_source = [child.columns[p] for p in op.cnew_pos]
         m = child.n
     order = np.argsort(key, kind="stable")
@@ -351,7 +302,6 @@ class VectorizedPlan:
         "target",
         "root",
         "slot_columns",
-        "_np",
         "_modes",
         "_intern",
         "_values",
@@ -362,9 +312,6 @@ class VectorizedPlan:
         "_final_permutes",
         "_final_schema",
         "_final_columns",
-        "_row_semijoin_ops",
-        "_row_join_ops",
-        "_row_final_get",
         "_slot_cache",
         "_cache_meta",
         "max_interned_values",
@@ -379,10 +326,6 @@ class VectorizedPlan:
         self.schema = schema
         self.target = prepared.target
         self.root = prepared.root
-        #: The array engine is pinned at construction so a plan's behaviour
-        #: never changes under it (tests patch the module global before
-        #: building a plan to exercise the fallback).
-        self._np = _np
         columns = tuple(
             relation.sorted_attributes() for relation in schema.relations
         )
@@ -424,17 +367,6 @@ class VectorizedPlan:
         final = prepared.final_projection
         self._final_schema = final
         self._final_columns = final.sorted_attributes()
-        if self._np is None:
-            # Fallback engine: the compiled row program over zipped columns.
-            (
-                self._row_semijoin_ops,
-                self._row_join_ops,
-                self._row_final_get,
-            ) = build_row_ops(layout)
-        else:
-            self._row_semijoin_ops = ()
-            self._row_join_ops = ()
-            self._row_final_get = None
 
     # -- encoding --------------------------------------------------------------
 
@@ -454,7 +386,6 @@ class VectorizedPlan:
         canonicalizes tower-equal values onto one representative), so
         results still compare equal to the classic oracle's.
         """
-        np = self._np
         try:
             converted = np.asarray(data)
         except Exception:
@@ -477,7 +408,6 @@ class VectorizedPlan:
         (the vectorized canonical-value mode).  Everything else takes the
         interning loop.
         """
-        np = self._np
         intern_map = self._intern[attribute]
         values = self._values[attribute]
         if intern_map:
@@ -486,12 +416,10 @@ class VectorizedPlan:
             except KeyError:
                 pass
             else:
-                if np is not None:
-                    return np.asarray(codes, dtype=np.int64)
-                return array("q", codes)
+                return np.asarray(codes, dtype=np.int64)
         # The type scan runs as C-level ``map``; mixed columns must never
         # reach ``np.asarray`` below, which would silently stringify them.
-        if np is not None and set(map(type, column)) == {str}:
+        if set(map(type, column)) == {str}:
             uniques, inverse = np.unique(np.asarray(column), return_inverse=True)
             unique_codes = np.empty(len(uniques), dtype=np.int64)
             get = intern_map.get
@@ -513,95 +441,73 @@ class VectorizedPlan:
                 intern_map[value] = code
                 values.append(value)
             append(code)
-        if np is not None:
-            return np.asarray(codes, dtype=np.int64)
-        return array("q", codes)
+        return np.asarray(codes, dtype=np.int64)
 
     def _encode_relation(self, slot: int, relation: Relation) -> _VecEncoding:
         """Encode one relation column-major into int64 code arrays."""
         rows = relation.rows
         attrs = self.slot_columns[slot]
         n = len(rows)
-        np = self._np
         if not attrs:
             return _VecEncoding((), n)
         if not n:
-            if np is not None:
-                empty = np.empty(0, dtype=np.int64)
-                return _VecEncoding(tuple(empty for _ in attrs), 0)
-            return _VecEncoding(tuple(array("q") for _ in attrs), 0)
+            empty = np.empty(0, dtype=np.int64)
+            return _VecEncoding(tuple(empty for _ in attrs), 0)
         rows_t = tuple(rows)
         modes = self._modes
-        if np is not None:
-            # Whole-slot identity fast path: one 2-D classify-and-convert
-            # (see ``_int64_or_none``) + transpose copy turns the value rows
-            # into contiguous per-column arrays — value == code in identity
-            # mode, no per-cell Python at all.
-            if all(modes[a] != _MODE_DICT for a in attrs):
-                block = self._int64_or_none(rows_t)
-                if block is not None and block.ndim == 2:
-                    for a in attrs:
-                        if modes[a] is None:
-                            modes[a] = _MODE_IDENTITY
-                    transposed = np.ascontiguousarray(block.T)
-                    return _VecEncoding(
-                        tuple(transposed[j] for j in range(len(attrs))), n
-                    )
-            # Columns extract via ``map(itemgetter, ...)`` pipelines instead
-            # of a ``zip(*rows)`` transpose: star-unpacking tens of
-            # thousands of rows costs more than one C pass per column, and
-            # the warm dictionary path below never materializes the column
-            # at all — extraction and interning fuse into nested C maps.
-            coded: List[Any] = []
-            for position, attribute in enumerate(attrs):
-                getter = itemgetter(position)
-                mode = modes[attribute]
-                if mode == _MODE_DICT:
-                    intern_map = self._intern[attribute]
-                    if intern_map:
-                        try:
-                            codes = list(
-                                map(intern_map.__getitem__, map(getter, rows_t))
-                            )
-                        except KeyError:
-                            pass
-                        else:
-                            coded.append(np.asarray(codes, dtype=np.int64))
-                            continue
-                    coded.append(
-                        self._encode_dict_column(
-                            attribute, tuple(map(getter, rows_t))
-                        )
-                    )
-                    continue
-                column = tuple(map(getter, rows_t))
-                converted = self._int64_or_none(column)
-                if converted is not None and converted.ndim == 1:
-                    if mode is None:
-                        modes[attribute] = _MODE_IDENTITY
-                    coded.append(converted)
-                    continue
-                if mode is None:
-                    modes[attribute] = _MODE_DICT
-                else:
-                    # Pinned identity met a column int64 cannot carry.
-                    raise _PromoteToDict(attribute)
-                coded.append(self._encode_dict_column(attribute, column))
-            return _VecEncoding(tuple(coded), n)
-        coded = []
-        for attribute, column in zip(attrs, zip(*rows_t)):
+        # Whole-slot identity fast path: one 2-D classify-and-convert
+        # (see ``_int64_or_none``) + transpose copy turns the value rows
+        # into contiguous per-column arrays — value == code in identity
+        # mode, no per-cell Python at all.
+        if all(modes[a] != _MODE_DICT for a in attrs):
+            block = self._int64_or_none(rows_t)
+            if block is not None and block.ndim == 2:
+                for a in attrs:
+                    if modes[a] is None:
+                        modes[a] = _MODE_IDENTITY
+                transposed = np.ascontiguousarray(block.T)
+                return _VecEncoding(
+                    tuple(transposed[j] for j in range(len(attrs))), n
+                )
+        # Columns extract via ``map(itemgetter, ...)`` pipelines instead
+        # of a ``zip(*rows)`` transpose: star-unpacking tens of
+        # thousands of rows costs more than one C pass per column, and
+        # the warm dictionary path below never materializes the column
+        # at all — extraction and interning fuse into nested C maps.
+        coded: List[Any] = []
+        for position, attribute in enumerate(attrs):
+            getter = itemgetter(position)
             mode = modes[attribute]
-            if mode is None:
-                mode = _MODE_IDENTITY if pure_int_column(column) else _MODE_DICT
-                modes[attribute] = mode
-            if mode == _MODE_IDENTITY:
-                if not pure_int_column(column):
-                    raise _PromoteToDict(attribute)
-                try:
-                    coded.append(array("q", column))
-                except OverflowError:
-                    raise _PromoteToDict(attribute) from None
+            if mode == _MODE_DICT:
+                intern_map = self._intern[attribute]
+                if intern_map:
+                    try:
+                        codes = list(
+                            map(intern_map.__getitem__, map(getter, rows_t))
+                        )
+                    except KeyError:
+                        pass
+                    else:
+                        coded.append(np.asarray(codes, dtype=np.int64))
+                        continue
+                coded.append(
+                    self._encode_dict_column(
+                        attribute, tuple(map(getter, rows_t))
+                    )
+                )
                 continue
+            column = tuple(map(getter, rows_t))
+            converted = self._int64_or_none(column)
+            if converted is not None and converted.ndim == 1:
+                if mode is None:
+                    modes[attribute] = _MODE_IDENTITY
+                coded.append(converted)
+                continue
+            if mode is None:
+                modes[attribute] = _MODE_DICT
+            else:
+                # Pinned identity met a column int64 cannot carry.
+                raise _PromoteToDict(attribute)
             coded.append(self._encode_dict_column(attribute, column))
         return _VecEncoding(tuple(coded), n)
 
@@ -720,43 +626,6 @@ class VectorizedPlan:
                 backend="vectorized",
                 stats=stats,
             )
-        if self._np is not None:
-            return self._execute_arrays(vectorized_state, stats)
-        return self._execute_rows(vectorized_state, stats)
-
-    def _execute_rows(
-        self, vectorized_state: "VectorizedState", stats: Optional[ExecutionStats]
-    ) -> YannakakisRun:
-        """Fallback engine: the compiled row program over zipped columns."""
-        final_rows, join_count, max_intermediate = execute_row_program(
-            self._row_semijoin_ops,
-            self._row_join_ops,
-            self.root,
-            self._row_final_get,
-            list(vectorized_state.encodings),
-            stats,
-        )
-        result = Relation.from_interned(
-            self._final_schema,
-            self._final_columns,
-            final_rows,
-            vectorized_state.decoders,
-        )
-        if len(result) > max_intermediate:
-            max_intermediate = len(result)
-        return YannakakisRun(
-            result=result,
-            semijoin_count=len(self._semijoins),
-            join_count=join_count,
-            max_intermediate_size=max_intermediate,
-            backend="vectorized",
-            stats=stats,
-        )
-
-    def _execute_arrays(
-        self, vectorized_state: "VectorizedState", stats: Optional[ExecutionStats]
-    ) -> YannakakisRun:
-        np = self._np
         views: List[_VecEncoding] = list(vectorized_state.encodings)
 
         # Phase 1: the full-reducer semijoin program as membership masks.
@@ -764,7 +633,7 @@ class VectorizedPlan:
             source_view = views[op.source]
             source_keys = source_view.keysets.get(op.skey)
             if source_keys is None:
-                source_keys = np.unique(_key_array(np, source_view, op.skey))
+                source_keys = np.unique(_key_array(source_view, op.skey))
                 source_view.keysets[op.skey] = source_keys
                 if stats is not None:
                     lineage = (op.source, op.skey)
@@ -773,21 +642,20 @@ class VectorizedPlan:
             target_view = views[op.target]
             target_keys = target_view.keysets.get(op.tkey)
             if target_keys is None:
-                target_keys = np.unique(_key_array(np, target_view, op.tkey))
+                target_keys = np.unique(_key_array(target_view, op.tkey))
                 target_view.keysets[op.tkey] = target_keys
                 if stats is not None:
                     lineage = (op.target, op.tkey)
                     builds = stats.keyset_builds
                     builds[lineage] = builds.get(lineage, 0) + 1
-            subset_mask = _member_mask(np, source_keys, target_keys)
+            subset_mask = _member_mask(source_keys, target_keys)
             if bool(subset_mask.all()):
                 if stats is not None:
                     stats.identity_semijoins += 1
                 continue
-            mask = _member_mask(
-                np, source_keys, _key_array(np, target_view, op.tkey)
+            mask = _member_mask(source_keys, _key_array(target_view, op.tkey)
             )
-            filtered = _filtered(np, target_view, mask)
+            filtered = _filtered(target_view, mask)
             filtered.keysets[op.tkey] = target_keys[subset_mask]
             views[op.target] = filtered
             if stats is not None:
@@ -805,7 +673,7 @@ class VectorizedPlan:
                 if cached is None:
                     # The (projected) child's columns are exactly the key,
                     # so its sorted-unique key array IS the projected child.
-                    keys = np.unique(_key_array(np, child_view, op.ckey))
+                    keys = np.unique(_key_array(child_view, op.ckey))
                     proj_len: Optional[int] = len(keys) if op.has_proj else None
                     child_view.buckets[op.tag] = (keys, proj_len)
                     if stats is not None:
@@ -820,22 +688,21 @@ class VectorizedPlan:
                 # with it every cached index a later step would rebuild.
                 mother_keys = mother_view.keysets.get(op.mkey)
                 if mother_keys is not None and bool(
-                    _member_mask(np, keys, mother_keys).all()
+                    _member_mask(keys, mother_keys).all()
                 ):
                     joined = mother_view
                 else:
-                    mask = _member_mask(
-                        np, keys, _key_array(np, mother_view, op.mkey)
+                    mask = _member_mask(keys, _key_array(mother_view, op.mkey)
                     )
                     if bool(mask.all()):
                         joined = mother_view
                     else:
-                        joined = _filtered(np, mother_view, mask)
+                        joined = _filtered(mother_view, mask)
             elif op.kind == _JOIN_SEMI_CHILD:
                 if op.proj_pos is not None:
                     cached = child_view.buckets.get(op.tag)
                     if cached is None:
-                        index = _unique_rows_index(np, child_view, op.proj_pos)
+                        index = _unique_rows_index(child_view, op.proj_pos)
                         projected = tuple(
                             child_view.columns[p][index] for p in op.proj_pos
                         )
@@ -853,15 +720,15 @@ class VectorizedPlan:
                 mother_keys = mother_view.keysets.get(op.mkey)
                 if mother_keys is None:
                     mother_keys = np.unique(
-                        _key_array(np, mother_view, op.mkey)
+                        _key_array(mother_view, op.mkey)
                     )
                     mother_view.keysets[op.mkey] = mother_keys
                     if stats is not None:
                         lineage = (op.mother, op.mkey)
                         builds = stats.keyset_builds
                         builds[lineage] = builds.get(lineage, 0) + 1
-                child_key = _build_key(np, child_columns, child_n, op.ckey)
-                mask = _member_mask(np, mother_keys, child_key)
+                child_key = _build_key(child_columns, child_n, op.ckey)
+                mask = _member_mask(mother_keys, child_key)
                 if op.proj_pos is None and bool(mask.all()):
                     joined = child_view
                 else:
@@ -872,7 +739,7 @@ class VectorizedPlan:
             else:
                 cached = child_view.buckets.get(op.tag)
                 if cached is None:
-                    cached = _general_bucket(np, child_view, op)
+                    cached = _general_bucket(child_view, op)
                     child_view.buckets[op.tag] = cached
                     if stats is not None:
                         lineage = (op.node, op.ckey)
@@ -883,19 +750,17 @@ class VectorizedPlan:
                     max_intermediate = proj_len
                 mother_n = mother_view.n
                 if mother_n == 0 or len(group_keys) == 0:
-                    joined = _empty_like(
-                        np, len(mother_view.columns) + len(new_sorted)
+                    joined = _empty_like(len(mother_view.columns) + len(new_sorted)
                     )
                 else:
-                    mother_key = _key_array(np, mother_view, op.mkey)
+                    mother_key = _key_array(mother_view, op.mkey)
                     position = group_keys.searchsorted(mother_key)
                     np.minimum(position, len(group_keys) - 1, out=position)
                     match = group_keys[position] == mother_key
                     per_mother = np.where(match, counts[position], 0)
                     total = int(per_mother.sum())
                     if total == 0:
-                        joined = _empty_like(
-                            np, len(mother_view.columns) + len(new_sorted)
+                        joined = _empty_like(len(mother_view.columns) + len(new_sorted)
                         )
                     else:
                         # Expand: mother row index per output row, and the
@@ -940,7 +805,7 @@ class VectorizedPlan:
             final_columns = tuple(root_view.columns[p] for p in final_positions)
             final_n = root_view.n
         else:
-            index = _unique_rows_index(np, root_view, final_positions)
+            index = _unique_rows_index(root_view, final_positions)
             final_columns = tuple(
                 root_view.columns[p][index] for p in final_positions
             )
@@ -1043,10 +908,9 @@ class VectorizedPlan:
         return sum(len(intern_map) for intern_map in self._intern.values())
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
-        engine = "numpy" if self._np is not None else "array"
         return (
             f"VectorizedPlan(schema={self.schema.to_notation()!r}, "
-            f"target={self.target.to_notation()!r}, engine={engine!r}, "
+            f"target={self.target.to_notation()!r}, "
             f"semijoins={len(self._semijoins)}, joins={len(self._joins)})"
         )
 
@@ -1056,11 +920,9 @@ class VectorizedState:
 
     Holds one (possibly cache-shared) :class:`_VecEncoding` per relation
     slot plus the decoders of the interner epoch that minted its codes.
-    ``state`` is the source :class:`DatabaseState`, or ``None`` for states
-    adopted straight off the shm wire by :func:`shm_attach_state`.
-    Immutable from the executor's point of view — execution replaces slot
-    views instead of mutating them — so it can be executed any number of
-    times.
+    ``state`` is the source :class:`DatabaseState`.  Immutable from the
+    executor's point of view — execution replaces slot views instead of
+    mutating them — so it can be executed any number of times.
     """
 
     __slots__ = ("plan", "state", "encodings", "decoders")
@@ -1068,7 +930,7 @@ class VectorizedState:
     def __init__(
         self,
         plan: VectorizedPlan,
-        state: Optional[DatabaseState],
+        state: DatabaseState,
         encodings: Tuple[_VecEncoding, ...],
         decoders: Optional[Tuple[Optional[Any], ...]] = None,
     ) -> None:
@@ -1109,68 +971,3 @@ def vectorize_plan(
     notes; normally reached through ``prepared.vectorized``)."""
     return VectorizedPlan(prepared, max_interned_values=max_interned_values)
 
-
-def shm_attach_state(
-    plan: VectorizedPlan, buffer
-) -> Optional[VectorizedState]:
-    """Adopt one shm wire payload straight into column arrays, if possible.
-
-    The shm transport's int64 blocks (:func:`~repro.relational.compiled
-    .shm_encode_state`) carry exactly this backend's identity-mode column
-    encoding, so an all-int64 payload attaches as one ``frombuffer`` +
-    transpose copy per relation — no ``DatabaseState`` reconstruction, no
-    per-cell encode.  Returns ``None`` when the fast path does not apply
-    (no numpy, any pickled block, or any attribute already promoted to
-    dictionary mode) — the caller then falls back to
-    :func:`~repro.relational.compiled.shm_decode_state` + a normal encode.
-
-    The returned state carries ``state=None`` and bypasses the slot caches:
-    it is a transient per-shard handoff, and the arrays are copied out of
-    the segment so the caller may release it immediately.
-    """
-    np = plan._np
-    if np is None:
-        return None
-    view = memoryview(buffer)
-    (count,) = _SHM_STATE_HEADER.unpack_from(view, 0)
-    if count != len(plan.slot_columns):
-        raise ValueError(
-            f"shm payload carries {count} relation(s) but the plan "
-            f"expects {len(plan.slot_columns)}"
-        )
-    blocks: List[Tuple[int, int, int]] = []
-    offset = _SHM_STATE_HEADER.size
-    for attrs in plan.slot_columns:
-        if view[offset] != _SHM_KIND_INT64:
-            return None
-        _, n_rows, width = _SHM_INT64_HEADER.unpack_from(view, offset)
-        if width != len(attrs):
-            return None
-        offset += _SHM_INT64_HEADER.size
-        blocks.append((offset, n_rows, width))
-        offset += n_rows * width * 8
-    with plan._encode_lock:
-        for attrs in plan.slot_columns:
-            for attribute in attrs:
-                if plan._modes[attribute] == _MODE_DICT:
-                    return None
-        encodings: List[_VecEncoding] = []
-        for block_offset, n_rows, width in blocks:
-            if width:
-                flat = np.frombuffer(
-                    view, dtype=np.int64, count=n_rows * width, offset=block_offset
-                )
-                transposed = np.ascontiguousarray(flat.reshape(n_rows, width).T)
-                encodings.append(
-                    _VecEncoding(
-                        tuple(transposed[j] for j in range(width)), n_rows
-                    )
-                )
-            else:
-                encodings.append(_VecEncoding((), n_rows))
-        for attrs in plan.slot_columns:
-            for attribute in attrs:
-                if plan._modes[attribute] is None:
-                    plan._modes[attribute] = _MODE_IDENTITY
-        decoders = plan._decoders()
-    return VectorizedState(plan, None, tuple(encodings), decoders)

@@ -44,12 +44,7 @@ from repro.hypergraph import (
     random_cyclic_schema,
     random_tree_schema,
 )
-from repro.relational import (
-    DatabaseState,
-    Relation,
-    naive_join_project,
-    numpy_available,
-)
+from repro.relational import DatabaseState, Relation, naive_join_project
 from repro.relational.program import Program, default_base_names
 from repro.relational.universal import random_database_state, random_ur_database
 from repro.treeproj import is_tree_projection
@@ -180,10 +175,7 @@ class TestEquivalence:
         baseline, _ = naive_join_project(schema, target, state)
         oracle = _solver_oracle(schema, target, state)
         assert oracle == baseline
-        backends = ["classic", "compiled", "auto"]
-        if numpy_available():
-            backends.append("vectorized")
-        for backend in backends:
+        for backend in ("classic", "compiled", "auto", "vectorized"):
             run = prepared.execute(state, backend=backend)
             assert run.result == baseline, backend
 
@@ -287,8 +279,7 @@ class TestHypothesisEquivalence:
             if consult_solver:
                 assert solve_with_tree_projection(program, target, state) == baseline
             assert prepared.execute(state, backend="classic").result == baseline
-            if numpy_available():
-                assert prepared.execute(state, backend="vectorized").result == baseline
+            assert prepared.execute(state, backend="vectorized").result == baseline
 
     @settings(max_examples=10, deadline=None)
     @given(cyclic_instances(max_states=4))
@@ -301,10 +292,9 @@ class TestHypothesisEquivalence:
 
 
 class TestParallelCyclic:
-    """Cyclic plans ship through the parallel executor on both transports."""
+    """Cyclic plans ship through the parallel executor."""
 
-    @pytest.mark.parametrize("transport", ["pickle", "shm"])
-    def test_parallel_matches_classic(self, transport):
+    def test_parallel_matches_classic(self):
         schema = aring(4)
         target = RelationSchema("ac")
         states = [
@@ -313,9 +303,7 @@ class TestParallelCyclic:
         ]
         prepared = analyze(schema).prepare_cyclic(target)
         expected = [prepared.execute(s, backend="classic").result for s in states]
-        runs = prepared.execute_many(
-            states, backend="parallel", workers=2, transport=transport
-        )
+        runs = prepared.execute_many(states, backend="parallel", workers=2)
         assert [run.result for run in runs] == expected
         assert all(run.backend == "parallel" for run in runs)
 
@@ -389,9 +377,7 @@ class TestBackendGate:
             random_ur_database(chain, tuple_count=600, domain_size=40, rng=seed)
             for seed in range(3)
         ]
-        assert resolve_backend_for("auto", states) in (
-            ("vectorized",) if numpy_available() else ("compiled",)
-        )
+        assert resolve_backend_for("auto", states) == "vectorized"
         # The flarge-star serving profile: 12 binary relations sharing a hub,
         # ~230 rows per relation per state — under the 32·(n−4) per-relation
         # threshold.

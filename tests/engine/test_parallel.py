@@ -39,11 +39,14 @@ from repro.relational import DatabaseState, Relation
 
 #: Mirrors the strategy of tests/relational/test_compiled_equivalence.py (the
 #: test tree has no packages, so the strategy is restated rather than
-#: imported): values span the numeric tower plus strings and None, states may
-#: be empty, dangling, or repeated verbatim.
+#: imported): values span the numeric tower plus strings, None and ints just
+#: outside int64 (so workers exercise identity→dictionary promotion), states
+#: may be empty, dangling, or repeated verbatim.
 VALUES = st.one_of(
     st.integers(-3, 6),
-    st.sampled_from([1.0, 2.5, -1.0, True, False, "a", "b", "v1", None]),
+    st.sampled_from(
+        [1.0, 2.5, -1.0, True, False, "a", "b", "v1", None, 1 << 70, -(1 << 63) - 1]
+    ),
 )
 
 
@@ -280,11 +283,7 @@ class TestPlanSpec:
         the policy it was built with."""
         from dataclasses import replace as dc_replace
 
-        from repro.engine.parallel import (
-            _plan_for_spec,
-            _serial_plan,
-            _worker_plans,
-        )
+        from repro.engine.parallel import _plan_for_spec, _worker_plans
 
         schema = chain_schema(2)
         prepared = analyze(schema).prepare(RelationSchema({"x0", "x2"}))
@@ -297,11 +296,11 @@ class TestPlanSpec:
         try:
             plan_a, compiled_a = _plan_for_spec(first)
             assert compiled_a == 1
-            serial_a = _serial_plan(plan_a, spec.serial_backend)
+            serial_a = plan_a.vectorized
             assert serial_a.max_interned_values is None
             plan_b, _ = _plan_for_spec(second)
             # Same resident plan; the later spec must not overwrite its policy.
-            serial_b = _serial_plan(plan_b, spec.serial_backend)
+            serial_b = plan_b.vectorized
             assert serial_b is serial_a
             assert serial_b.max_interned_values is None
         finally:

@@ -19,7 +19,7 @@ from repro.hypergraph import (
     random_tree_schema,
     star_schema,
 )
-from repro.relational import DatabaseState, naive_join_project, numpy_available
+from repro.relational import DatabaseState, naive_join_project
 from repro.relational.universal import random_database_state, random_ur_database
 
 FAMILIES = [
@@ -307,7 +307,7 @@ class TestCompiledBackendRouting:
         schema = chain_schema(3)
         prepared = analyze(schema).prepare(RelationSchema({"x0", "x3"}))
         # 20 tuples x 3 relations sits under VECTORIZED_MIN_STATE_ROWS, so
-        # auto stays on the compiled backend whether or not numpy imports.
+        # auto stays on the compiled backend.
         state = self._state(schema)
         assert prepared.execute(state).backend == "compiled"
         assert prepared.execute(state, backend="auto").backend == "compiled"
@@ -315,12 +315,11 @@ class TestCompiledBackendRouting:
         assert prepared.execute(state, backend="compiled").backend == "compiled"
         assert prepared.execute(state, backend="vectorized").backend == "vectorized"
         # A state big enough to amortize the array toll upgrades auto to the
-        # vectorized kernel exactly when numpy is importable.  (A wide
-        # domain, because random_ur_database dedups verbatim rows.)
+        # vectorized kernel.  (A wide domain, because random_ur_database
+        # dedups verbatim rows.)
         big = random_ur_database(schema, tuple_count=200, domain_size=60, rng=1)
-        serial = "vectorized" if numpy_available() else "compiled"
-        assert prepared.execute(big).backend == serial
-        assert prepared.execute_many([big, big])[0].backend == serial
+        assert prepared.execute(big).backend == "vectorized"
+        assert prepared.execute_many([big, big])[0].backend == "vectorized"
 
     def test_unknown_backend_rejected(self):
         schema = chain_schema(3)

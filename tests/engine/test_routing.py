@@ -13,7 +13,7 @@ from repro.engine.routing import (
     override_decision,
 )
 from repro.hypergraph import RelationSchema, chain_schema
-from repro.relational import DatabaseState, Relation, numpy_available
+from repro.relational import DatabaseState, Relation
 
 
 def _states(schema, count, *, rows=3, salt=0):
@@ -138,12 +138,11 @@ class TestGates:
 
     def test_large_states_upgrade_serial_verdict(self, prepared):
         # 200 rows x 3 relations clears VECTORIZED_MIN_STATE_ROWS, so the
-        # in-process verdict names the vectorized kernel whenever numpy
-        # imports; tiny batches (every other test here) stay compiled.
+        # in-process verdict names the vectorized kernel; tiny batches
+        # (every other test here) stay compiled.
         states = _states(prepared.schema, 4, rows=200)
         decision = RoutingPolicy(per_row_s=1.0).decide(prepared, states, workers=2)
-        expected = "vectorized" if numpy_available() else "compiled"
-        assert decision.backend == expected
+        assert decision.backend == "vectorized"
         assert decision.rule == "small-batch"
 
     def test_override_decision(self, prepared):
@@ -217,7 +216,6 @@ class TestDegenerate:
         assert [run.result for run in runs] == [expected.result] * 3
         assert all(run.backend == "parallel" for run in runs)
         stats = runs[0].stats
-        assert stats.transport == "none"
         assert stats.workers == 0
         assert stats.routed_in_process == 1
         assert stats.deduped_states == 2

@@ -7,19 +7,15 @@ interning, no code arrays, no membership masks or gather joins.  Agreement
 on random tree schemas and random states (empty relations, dangling tuples,
 mixed value types across the numeric tower, repeated states) is strong
 evidence the vectorization is faithful.  The suite also pins the vectorized
-backend to the *compiled* backend's execution accounting (stats parity), and
-re-runs the core equivalence with numpy masked out, proving the stdlib
-``array`` fallback computes the same answers.
+backend to the *compiled* backend's execution accounting (stats parity).
 """
 
 from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.relational.vectorized as vectorized_module
 from repro.engine import analyze, clear_analysis_cache
 from repro.hypergraph import (
     DatabaseSchema,
@@ -28,18 +24,8 @@ from repro.hypergraph import (
     random_tree_schema,
     star_schema,
 )
-from repro.relational import (
-    DatabaseState,
-    Relation,
-    numpy_available,
-    vectorize_plan,
-)
-from repro.relational.compiled import (
-    ExecutionStats,
-    compile_plan,
-    shm_encode_state,
-)
-from repro.relational.vectorized import shm_attach_state
+from repro.relational import DatabaseState, Relation, vectorize_plan
+from repro.relational.compiled import ExecutionStats, compile_plan
 
 #: Value pool spanning the numeric tower (1 == 1.0 == True) plus strings and
 #: None — both interner modes — extended with an int64-overflowing integer
@@ -144,15 +130,14 @@ class TestExecuteEquivalence:
         attrs = schema.attributes.sorted_attributes()
         prepared = analyze(schema).prepare(RelationSchema((attrs[0],)))
         # Large enough to clear the profitability floor: auto upgrades to
-        # the array kernel exactly when numpy imports ...
+        # the array kernel ...
         big = DatabaseState(
             schema,
             [Relation(rs, [(i, i + 1) for i in range(200)]) for rs in schema.relations],
         )
-        expected = "vectorized" if numpy_available() else "compiled"
-        assert prepared.execute(big).backend == expected
-        # ... while a one-tuple state stays on the compiled backend even
-        # with numpy present: arrays cannot pay for themselves there.
+        assert prepared.execute(big).backend == "vectorized"
+        # ... while a one-tuple state stays on the compiled backend: arrays
+        # cannot pay for themselves there.
         tiny = DatabaseState(
             schema, [Relation(rs, [(1, 2)]) for rs in schema.relations]
         )
@@ -194,49 +179,6 @@ class TestCompiledStatsParity:
                 vstats.encoded_slots + vstats.cached_slots
                 == cstats.encoded_slots + cstats.cached_slots
             )
-
-
-class TestArrayFallback:
-    """numpy masked out: plans must build on the stdlib ``array`` fallback
-    and compute exactly what the classic operators compute."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(tree_instances(max_states=2))
-    def test_fallback_matches_classic(self, instance):
-        schema, target, states = instance
-        prepared = analyze(schema).prepare(target)
-        classic_runs = [
-            prepared.execute(state, backend="classic") for state in states
-        ]
-        saved = vectorized_module._np
-        vectorized_module._np = None
-        try:
-            assert not numpy_available()
-            plan = vectorize_plan(prepared)
-            runs = plan.execute_batch(states)
-        finally:
-            vectorized_module._np = saved
-        for classic, run in zip(classic_runs, runs):
-            _assert_runs_agree(classic, run)
-
-    def test_fallback_promotes_on_big_ints(self):
-        schema = DatabaseSchema([RelationSchema("ab")])
-        prepared = analyze(schema).prepare(RelationSchema("ab"))
-        saved = vectorized_module._np
-        vectorized_module._np = None
-        try:
-            plan = vectorize_plan(prepared)
-            small = DatabaseState(
-                schema, [Relation(schema[0], [(1, 2)])]
-            )
-            assert plan.execute_state(small).result == small.relations[0]
-            big = DatabaseState(
-                schema, [Relation(schema[0], [(1 << 70, 2)])]
-            )
-            assert plan.execute_state(big).result == big.relations[0]
-            assert plan.mode_promotions >= 1
-        finally:
-            vectorized_module._np = saved
 
 
 class TestValueSemantics:
@@ -363,43 +305,3 @@ class TestInternerLifecycle:
         runs = plan.execute_batch([state, state, state])
         assert runs[0] is runs[1] is runs[2]
         assert runs[0].stats.deduped_states == 2
-
-
-@pytest.mark.skipif(not numpy_available(), reason="numpy kernel not available")
-class TestShmAttach:
-    def test_attach_matches_decode_execute(self):
-        schema = chain_schema(2)
-        attrs = schema.attributes.sorted_attributes()
-        prepared = analyze(schema).prepare(RelationSchema((attrs[0],)))
-        rng = random.Random(7)
-        relations = [
-            Relation(
-                rs,
-                [
-                    tuple(rng.randrange(30) for _ in rs.sorted_attributes())
-                    for _ in range(40)
-                ],
-            )
-            for rs in schema.relations
-        ]
-        state = DatabaseState(schema, relations)
-        classic = prepared.execute(state, backend="classic")
-        plan = vectorize_plan(prepared)
-        payload = shm_encode_state(state)
-        vstate = shm_attach_state(plan, memoryview(payload))
-        assert vstate is not None
-        run = plan.execute(vstate)
-        assert run.result == classic.result
-        assert run.backend == "vectorized"
-
-    def test_attach_refuses_dictionary_mode(self):
-        schema = DatabaseSchema([RelationSchema("ab")])
-        prepared = analyze(schema).prepare(RelationSchema("ab"))
-        plan = vectorize_plan(prepared)
-        strings = DatabaseState(
-            schema, [Relation(schema[0], [("x", "y")])]
-        )
-        plan.execute_state(strings)  # pins dictionary mode
-        ints = DatabaseState(schema, [Relation(schema[0], [(1, 2)])])
-        payload = shm_encode_state(ints)
-        assert shm_attach_state(plan, memoryview(payload)) is None
