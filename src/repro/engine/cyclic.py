@@ -49,6 +49,7 @@ from ..exceptions import SchemaError, SearchBudgetExceeded, TreeProjectionError
 from ..hypergraph.gyo import is_tree_schema
 from ..hypergraph.schema import Attribute, DatabaseSchema, RelationSchema
 from ..relational.database import DatabaseState
+from ..relational.interned import ExecutionStats, dedup_states
 from ..relational.relation import Relation, semijoin_key_layout
 from ..relational.yannakakis import YannakakisRun
 from ..treefication.single import treefying_relation
@@ -395,10 +396,10 @@ def _default_root(
 
 
 class _CyclicPlanAdapter:
-    """A serial-kernel adapter with the compiled/vectorized plan surface.
+    """A serial-kernel adapter with the interned plan surface.
 
-    Duck-types the slice of :class:`~repro.relational.compiled.CompiledPlan`
-    / :class:`~repro.relational.vectorized.VectorizedPlan` the engine layers
+    Duck-types the slice of :class:`~repro.relational.interned.InternedPlan`
+    (the core of both serial kernels) the engine layers
     touch — ``execute_state``, ``execute_batch``, ``max_interned_values`` —
     but runs the owner's classic prologue (node materialization + guard
     semijoins) before handing the *derived* state to the inner tree-schema
@@ -425,8 +426,10 @@ class _CyclicPlanAdapter:
     def execute_state(self, state: DatabaseState, stats=None) -> YannakakisRun:
         derived, prologue_max = self._owner._derive(state)
         if len(self._owner._nodes) == 1:
+            if stats is not None:
+                stats.states += 1
             return self._owner._single_node_run(
-                derived.relations[0], prologue_max, self._backend
+                derived.relations[0], prologue_max, self._backend, stats
             )
         run = self._plan.execute_state(derived, stats=stats)
         return self._owner._merge(run, prologue_max)
@@ -437,23 +440,11 @@ class _CyclicPlanAdapter:
         Duplicate *input* states are derived and executed once; distinct
         inputs whose derived node states coincide still dedup inside the
         inner plan's batch.  Every returned run carries the one shared
-        :class:`~repro.relational.compiled.ExecutionStats` of the batch.
+        :class:`~repro.relational.interned.ExecutionStats` of the batch.
         """
-        from ..relational.compiled import ExecutionStats
-
         stats = ExecutionStats()
-        unique: List[DatabaseState] = []
-        index_of: Dict[DatabaseState, int] = {}
-        positions: List[int] = []
-        for state in states:
-            index = index_of.get(state)
-            if index is None:
-                index = len(unique)
-                index_of[state] = index
-                unique.append(state)
-            else:
-                stats.deduped_states += 1
-            positions.append(index)
+        unique, positions = dedup_states(states)
+        stats.deduped_states += len(positions) - len(unique)
         derived_list: List[DatabaseState] = []
         prologue_maxes: List[int] = []
         for state in unique:
@@ -464,19 +455,20 @@ class _CyclicPlanAdapter:
             # Single-node projection (e.g. a clique's universe node): the
             # inner tree plan is a bare projection of the node value, so the
             # per-state encode/row-program round-trip buys nothing — project
-            # directly and keep the batch's dedup stats.
+            # directly, counting each projected state as executed.
+            stats.states += len(unique)
             merged = [
                 self._owner._single_node_run(
                     derived.relations[0], prologue_max, self._backend, stats
                 )
                 for derived, prologue_max in zip(derived_list, prologue_maxes)
             ]
-            return [merged[index] for index in positions]
-        runs = self._plan.execute_batch(derived_list, stats=stats)
-        merged = [
-            self._owner._merge(run, prologue_max)
-            for run, prologue_max in zip(runs, prologue_maxes)
-        ]
+        else:
+            runs = self._plan.execute_batch(derived_list, stats=stats)
+            merged = [
+                self._owner._merge(run, prologue_max)
+                for run, prologue_max in zip(runs, prologue_maxes)
+            ]
         return [merged[index] for index in positions]
 
 

@@ -23,7 +23,7 @@ once; every later shard is pure execution.  Worker interners are independent
 by construction, which is sound because integer codes are a process-private
 encoding detail: answers are decoded to plain values inside the worker before
 they are shipped back (see the lifecycle notes in
-:mod:`repro.relational.compiled`).
+:mod:`repro.relational.interned`).
 
 **Sharding.**  States are deduplicated (verbatim duplicates execute once),
 then grouped by estimated cost — total tuple count, assigned largest-first to
@@ -109,7 +109,11 @@ from ..exceptions import (
     StatePicklingError,
     WorkerCrashError,
 )
-from ..relational.compiled import DEFAULT_MAX_INTERNED_VALUES, ExecutionStats
+from ..relational.interned import (
+    DEFAULT_MAX_INTERNED_VALUES,
+    ExecutionStats,
+    dedup_states,
+)
 from ..relational.database import DatabaseState
 from ..relational.yannakakis import YannakakisRun
 from ..hypergraph.schema import RelationSchema
@@ -344,7 +348,7 @@ def _serial_plan(prepared, states: Sequence[DatabaseState]):
         return prepared.vectorized
     return prepared.compiled
 
-#: Worker-local plan cache: spec → PreparedQuery (with its compiled plan
+#: Worker-local plan cache: spec → PreparedQuery (with its serial plan
 #: forced).  Lives in the worker process's module globals; bounded so a
 #: worker serving many distinct plans cannot grow without limit.  Within the
 #: bound, each spec is compiled at most once per worker — the property the
@@ -357,9 +361,10 @@ def _plan_for_spec(spec: PlanSpec) -> Tuple[Any, int]:
     """The worker's prepared query for ``spec`` plus a did-compile flag (0/1).
 
     On a miss the query is rebuilt through the analysis LRU
-    (:func:`~repro.engine.analysis.prepared_from_spec`) and its compiled plan
-    is forced immediately, so the compile cost lands on the first shard and
-    later shards are pure execution.
+    (:func:`~repro.engine.analysis.prepared_from_spec`) and its serial plan
+    (vectorized, plus compiled for the small-shard downgrade of
+    :func:`_serial_plan`) is forced immediately, so the compile cost lands
+    on the first shard and later shards are pure execution.
     """
     prepared = _worker_plans.get(spec)
     if prepared is not None:
@@ -460,7 +465,7 @@ def plan_shards(costs: Sequence[int], shard_count: int) -> List[List[int]]:
 class ParallelStats(ExecutionStats):
     """Batch instrumentation merged across every shard of a parallel batch.
 
-    Extends :class:`~repro.relational.compiled.ExecutionStats` (all counters
+    Extends :class:`~repro.relational.interned.ExecutionStats` (all counters
     summed over shards; lineage maps merged per (slot, key) — note that
     across *workers* the same (slot, key) index is built once per worker that
     touched the slot, since encodings are worker-local) with the parallel
@@ -517,8 +522,9 @@ class ParallelStats(ExecutionStats):
         #: streaming service can surface typed error items).
         self.quarantine_causes: Dict[int, BaseException] = {}
         self.worker_crashes: Dict[int, int] = {}
-        #: States served on the in-process compiled backend because routing
-        #: classified the batch as degenerate (no pool was spawned for them).
+        #: States served in-process on the serial kernel ``_serial_plan``
+        #: picks, because routing classified the batch as degenerate (no
+        #: pool was spawned for them).
         self.routed_in_process = 0
 
     @property
@@ -840,19 +846,9 @@ class ParallelExecutor:
             else resolve_failure_policy(failure_policy)
         )
 
-        # Verbatim-duplicate dedup (mirrors CompiledPlan.execute_batch):
-        # duplicate requests ride along for free and never cross the wire
-        # twice.
-        unique_states: List[DatabaseState] = []
-        unique_of: Dict[DatabaseState, int] = {}
-        positions: List[int] = []
-        for state in state_list:
-            index = unique_of.get(state)
-            if index is None:
-                index = len(unique_states)
-                unique_of[state] = index
-                unique_states.append(state)
-            positions.append(index)
+        # Verbatim-duplicate dedup: duplicate requests ride along for free
+        # and never cross the wire twice.
+        unique_states, positions = dedup_states(state_list)
 
         costs = [state.total_rows() for state in unique_states]
         shards = plan_shards(costs, self._workers * self._shards_per_worker)
@@ -1140,7 +1136,7 @@ class ParallelExecutor:
 
 
 def execute_in_process(prepared, states: Iterable[DatabaseState]) -> List[YannakakisRun]:
-    """Run a "parallel" batch on the in-process compiled backend, no pool.
+    """Run a "parallel" batch in process on a serial kernel, no pool.
 
     The adaptive router calls this when a batch bound for the parallel
     backend is degenerate — empty, a single unique state, or all-empty
@@ -1156,16 +1152,14 @@ def execute_in_process(prepared, states: Iterable[DatabaseState]) -> List[Yannak
     state_list = list(states)
     if not state_list:
         return []
-    unique_runs: Dict[DatabaseState, YannakakisRun] = {}
     stats = ParallelStats(0)
     plan = _serial_plan(prepared, state_list)
-    for state in state_list:
-        if state not in unique_runs:
-            unique_runs[state] = plan.execute_state(state, stats=stats)
-    stats.deduped_states += len(state_list) - len(unique_runs)
-    stats.routed_in_process = len(unique_runs)
-    stats.shard_sizes.append(len(unique_runs))
-    return [
-        replace(unique_runs[state], backend="parallel", stats=stats)
-        for state in state_list
+    unique, positions = dedup_states(state_list)
+    runs = [
+        replace(plan.execute_state(state, stats=stats), backend="parallel", stats=stats)
+        for state in unique
     ]
+    stats.deduped_states += len(state_list) - len(unique)
+    stats.routed_in_process = len(unique)
+    stats.shard_sizes.append(len(unique))
+    return [runs[index] for index in positions]

@@ -378,7 +378,7 @@ class PreparedQuery:
 
         The plan owns interning dictionaries and an encoding cache shared by
         every state this query executes (keyed per plan, not per state); see
-        :mod:`repro.relational.compiled` for the lifecycle.  Building is
+        :mod:`repro.relational.interned` for the lifecycle.  Building is
         idempotent, so a benign duplicate under concurrency is harmless.
         """
         plan = self._compiled
@@ -393,7 +393,7 @@ class PreparedQuery:
 
         Like :attr:`compiled`, the plan owns its interner and per-slot
         encoding cache, shared by every state this query executes; see
-        :mod:`repro.relational.vectorized`.
+        :mod:`repro.relational.interned`.
         """
         plan = self._vectorized
         if plan is None:
@@ -409,8 +409,8 @@ class PreparedQuery:
         dictionaries that accumulated values from states no longer in
         rotation; the next execution rebuilds the plan it needs.  (Since the
         interner cap landed, plans also bound themselves: see
-        ``CompiledPlan.max_interned_values`` and the epoch notes in
-        :mod:`repro.relational.compiled`.)
+        ``max_interned_values`` and the epoch notes in
+        :mod:`repro.relational.interned`.)
         """
         object.__setattr__(self, "_compiled", None)
         object.__setattr__(self, "_vectorized", None)
@@ -564,7 +564,7 @@ class PreparedQuery:
         rows repeat across states is encoded — and its key indexes built —
         once for the whole batch.  The
         returned runs all carry one shared
-        :class:`~repro.relational.compiled.ExecutionStats` describing the
+        :class:`~repro.relational.interned.ExecutionStats` describing the
         batch; with ``backend="classic"`` each state is executed
         independently by the object-tuple operators.
 
@@ -593,8 +593,9 @@ class PreparedQuery:
 
         One-shot parallel batches (no ``executor``) are cost-routed: an
         empty batch returns immediately and a *degenerate* batch — a single
-        unique state, or states with no rows at all — runs on the in-process
-        compiled backend (still retagged ``backend="parallel"``) instead of
+        unique state, or states with no rows at all — runs in process on the
+        serial kernel ``auto`` picks for it (still retagged
+        ``backend="parallel"``) instead of
         paying a pool spawn that would dwarf the work.  Pass an ``executor``
         to pin execution to a real pool unconditionally.
         """

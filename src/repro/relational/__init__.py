@@ -28,7 +28,9 @@ over the same interned encoding: contiguous int64 code columns, semijoins as
 membership masks over sorted key arrays, joins as ``searchsorted`` bucket
 matches plus index gathers, all in numpy.  ``backend="auto"`` prefers it
 on row-heavy batches; classic and compiled stay as the property-test
-oracles.
+oracles.  Both kernels run on one core, :mod:`repro.relational.interned`
+(interner, mode policy, encoding cache, epochs, batch dedup, and the one
+encoded-state type that ``CompiledState`` and ``VectorizedState`` name).
 """
 
 from .relation import Relation, Row

@@ -1,4 +1,4 @@
-"""Columnar, interned-value execution backend for prepared queries.
+"""The row kernel: interned-value execution on tuples of int codes.
 
 The classic executor (:meth:`repro.engine.prepared.PreparedQuery.execute`
 with ``backend="classic"``) runs the full-reducer semijoin program and the
@@ -8,80 +8,56 @@ Python values.  That per-step schema algebra is pure overhead on the
 plan-once/execute-many serving path — the plan already fixes, for every step,
 which columns are compared and which are kept.
 
-This module compiles a :class:`~repro.engine.prepared.PreparedQuery` into a
-:class:`CompiledPlan` that freezes *all* of that algebra ahead of time:
+A :class:`CompiledPlan` runs the same program on interned codes.  Its
+interner, mode policy, encoding cache, epochs and batch entry points are the
+shared core of :mod:`repro.relational.interned`; this module holds only what
+is specific to rows of code tuples:
 
-* **Interned values.**  Every attribute owns an interning dictionary mapping
-  values to integer codes (shared across all states executed by the plan), so
-  rows become tuples of ints — cheap to hash, cheap to compare — and the
-  codes of a value agree across relations and states.  Columns of native
-  Python ints take an identity fast path (the value *is* the code, as in
-  columnar engines that skip dictionary-encoding integer columns), so integer
-  data is encoded and decoded at near-zero cost; each attribute's mode
-  (identity vs. dictionary) is pinned at first encounter and equality across
-  the numeric tower (``1 == 1.0 == True``) is preserved by canonicalizing
-  int-valued strays onto their int code.
-* **Positional step programs.**  Each semijoin step is compiled to integer
-  column positions and prebuilt ``itemgetter`` extractors; each join step is
-  resolved at compile time to one of three shapes (mother-semijoin,
-  child-semijoin, general hash join) by replaying the column algebra
-  symbolically, so execution never touches attribute names.
-* **Encode-time key indexes.**  :meth:`CompiledState.from_state` encodes each
-  relation slot column-major into code tuples; key sets and join buckets are
-  built at most once per (slot, key) and cached on the encoding, where every
-  later step that touches the slot — both reducer passes and the join — finds
-  them.  :meth:`CompiledPlan.execute_batch` additionally shares encodings
-  across the states of a batch, so a slot whose rows repeat across states
-  (e.g. fixed dimension tables under a changing fact table) is encoded and
-  indexed once per batch, not once per state.
+* **Encoding.**  Each relation slot encodes column-major into code tuples.
+  Columns of native Python ints take the identity mode (the value *is* the
+  code, as in columnar engines that skip dictionary-encoding integer
+  columns), so integer data encodes and decodes at near-zero cost; any other
+  column is dictionary-interned.  An identity column that later meets a
+  non-int value (``2.0``, ``True``, ``"s"``) is promoted to dictionary mode.
+* **Positional step programs.**  Each semijoin and join step of the shared
+  layout (:func:`~repro.relational.interned.plan_layout`) is compiled to
+  prebuilt ``itemgetter`` extractors, so execution never touches attribute
+  names.
+* **Encode-time key indexes.**  Key sets and join buckets are built at most
+  once per (slot, key) and cached on the encoding, where every later step
+  that touches the slot — both reducer passes and the join — finds them.
+  Batches share encodings across states, so a slot whose rows repeat (e.g.
+  fixed dimension tables under a changing fact table) is encoded and indexed
+  once per batch, not once per state.
 
 Intermediates never materialize object tuples; only the final result is
 decoded back to a classic :class:`~repro.relational.relation.Relation`.
 The classic operators remain in place as the property-test oracle
 (``tests/relational/test_compiled_equivalence.py``), mirroring how
 ``repro.tableau.reference`` anchors the interned tableau kernel.
-
-Lifecycle: a :class:`CompiledPlan` (and its interning dictionaries) lives as
-long as the :class:`~repro.engine.prepared.PreparedQuery` that owns it.  The
-dictionaries grow with the distinct values ever executed, but growth is
-*bounded*: each plan carries a ``max_interned_values`` cap (default
-:data:`DEFAULT_MAX_INTERNED_VALUES`), and when the interned-value count
-overflows it, the next :meth:`CompiledPlan.encode_state` opens a new interner
-*epoch* — the dictionary-mode interning maps and identity-mode stray tables
-are rebuilt empty and every cached slot encoding (whose code tuples reference
-the retired epoch's codes) is dropped.  Epochs are transparent to callers:
-codes never leak across an epoch boundary because the stale encodings are
-evicted with the epoch, and results are always decoded before the next state
-is encoded.  The number of rebuilds is surfaced as
-:attr:`CompiledPlan.interner_epoch` and, per batch, as
-:attr:`ExecutionStats.interner_resets`.
-:meth:`repro.engine.prepared.PreparedQuery.reset_compiled` remains the
-heavier hammer (drops the whole plan).
-
-Process boundaries: a ``CompiledPlan`` is **not** picklable by design — it is
-built from closures and ``itemgetter`` programs, and its interner is a
-process-local, mutable object.  The pickle-safe boundary is one level up:
-:class:`repro.engine.parallel.PlanSpec` (ordered relation tuple, target,
-root, backend knobs) crosses the process boundary and each worker rebuilds
-and caches its own plan from the spec.  Per-worker interners are therefore
-*independent*, which is sound because codes are a private encoding detail:
-every answer a worker ships back is decoded to plain values first
-(:meth:`Relation.from_interned` runs inside the worker, under that worker's
-own interner), so integer codes never cross a process boundary and two
-workers assigning different codes to the same value can never disagree about
-results.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..exceptions import SchemaError
-from ..hypergraph.schema import Attribute
-from .database import DatabaseState
+from .interned import (
+    DEFAULT_MAX_INTERNED_VALUES,
+    ExecutionStats,
+    InternedPlan,
+    InternedState,
+    _JOIN_SEMI_CHILD,
+    _JOIN_SEMI_MOTHER,
+    _JoinLayout,
+    _MODE_DICT,
+    _MODE_IDENTITY,
+    _PlanLayout,
+    _PromoteToDict,
+    _SemijoinLayout,
+    _USE_DEFAULT_CAP,
+)
 from .relation import Relation, _tuple_getter, pure_int_column, pure_int_rows
 from .yannakakis import YannakakisRun
 
@@ -91,19 +67,10 @@ __all__ = [
     "DEFAULT_MAX_INTERNED_VALUES",
     "ExecutionStats",
     "compile_plan",
-    "plan_layout",
 ]
 
-#: Default cap on distinct interned values per plan (dictionary-mode codes
-#: plus identity-mode strays).  Overflow opens a new interner epoch at the
-#: next state-encode boundary; see the module notes.  Sized so that ordinary
-#: serving never trips it while a long-lived process churning through
-#: unbounded string domains stays bounded.
-DEFAULT_MAX_INTERNED_VALUES = 1 << 20
-
-#: Sentinel distinguishing "use the default cap" from an explicit ``None``
-#: (= unbounded) in :class:`CompiledPlan`'s constructor.
-_USE_DEFAULT_CAP: Any = object()
+#: The encoded-state type of both kernels, under its row-kernel name.
+CompiledState = InternedState
 
 
 def _key_getter(positions: Sequence[int]):
@@ -120,110 +87,6 @@ def _key_getter(positions: Sequence[int]):
     if len(positions) == 1:
         return itemgetter(positions[0])
     return itemgetter(*positions)
-
-
-class ExecutionStats:
-    """Instrumentation for one compiled execution or batch.
-
-    ``keyset_builds`` and ``bucket_builds`` are lineage-attributed: they map
-    ``(slot index, key column positions)`` to the number of times that index
-    was actually constructed.  On a batch over states whose slot contents
-    repeat (and are not filtered by the reducer), each count stays at 1 —
-    the property the call-count tests pin down.
-    """
-
-    __slots__ = (
-        "states",
-        "deduped_states",
-        "encoded_slots",
-        "cached_slots",
-        "keyset_builds",
-        "bucket_builds",
-        "identity_semijoins",
-        "filtering_semijoins",
-        "interner_resets",
-    )
-
-    def __init__(self) -> None:
-        self.states = 0
-        self.deduped_states = 0
-        self.encoded_slots = 0
-        self.cached_slots = 0
-        self.keyset_builds: Dict[Tuple[int, Tuple[int, ...]], int] = {}
-        self.bucket_builds: Dict[Tuple[int, Tuple[int, ...]], int] = {}
-        self.identity_semijoins = 0
-        self.filtering_semijoins = 0
-        #: Interner epochs opened while this batch ran (``max_interned_values``
-        #: overflows observed at state-encode boundaries).
-        self.interner_resets = 0
-
-    def absorb(self, other: "ExecutionStats") -> None:
-        """Fold another stats object into this one (used by stats merging
-        across shards/workers; lineage counts are summed per (slot, key))."""
-        self.states += other.states
-        self.deduped_states += other.deduped_states
-        self.encoded_slots += other.encoded_slots
-        self.cached_slots += other.cached_slots
-        self.identity_semijoins += other.identity_semijoins
-        self.filtering_semijoins += other.filtering_semijoins
-        self.interner_resets += other.interner_resets
-        for lineage, count in other.keyset_builds.items():
-            self.keyset_builds[lineage] = self.keyset_builds.get(lineage, 0) + count
-        for lineage, count in other.bucket_builds.items():
-            self.bucket_builds[lineage] = self.bucket_builds.get(lineage, 0) + count
-
-    def total_keyset_builds(self) -> int:
-        """Total number of key-set constructions across all (slot, key) pairs."""
-        return sum(self.keyset_builds.values())
-
-    def total_bucket_builds(self) -> int:
-        """Total number of join-bucket constructions across all (slot, key) pairs."""
-        return sum(self.bucket_builds.values())
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return (
-            f"ExecutionStats(states={self.states}, "
-            f"encoded_slots={self.encoded_slots}, cached_slots={self.cached_slots}, "
-            f"keyset_builds={self.total_keyset_builds()}, "
-            f"bucket_builds={self.total_bucket_builds()})"
-        )
-
-
-class _Stray:
-    """Code for a non-int value living in an identity-mode (int) column.
-
-    Identity-mode codes are the int values themselves, so stray non-int
-    values need codes from a disjoint space: wrapper objects hash and compare
-    by identity, which is exactly value equality because strays are interned
-    (one wrapper per distinct value).  Numeric strays equal to an int
-    (``2.0``, ``True``) never reach here — they canonicalize onto the int
-    itself so the numeric tower keeps joining correctly.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any) -> None:
-        self.value = value
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"_Stray({self.value!r})"
-
-
-def _unwrap(code: Any) -> Any:
-    """Decode one identity-mode cell (stray wrappers carry their value)."""
-    return code.value if type(code) is _Stray else code
-
-
-# Identity-mode codes that *are* native ints decode to themselves;
-# ``Relation.from_interned`` uses this marker to skip the decode map on
-# result columns the pure-int classifier clears (the attribute may carry
-# strays plan-wide while this particular column does not).
-_unwrap.identity_when_int = True  # type: ignore[attr-defined]
-
-
-#: Per-attribute encoding modes, pinned the first time the attribute is seen.
-_MODE_IDENTITY = 0  # codes are the int values themselves (+ stray wrappers)
-_MODE_DICT = 1  # codes are dense ints assigned by the interning dictionary
 
 
 class _Encoding:
@@ -250,25 +113,17 @@ class _SemijoinOp:
 
     __slots__ = ("target", "source", "tkey", "skey", "tget", "sget")
 
-    def __init__(
-        self,
-        target: int,
-        source: int,
-        tkey: Tuple[int, ...],
-        skey: Tuple[int, ...],
-    ) -> None:
-        self.target = target
-        self.source = source
-        self.tkey = tkey
-        self.skey = skey
-        self.tget = _key_getter(tkey)
-        self.sget = _key_getter(skey)
+    def __init__(self, layout: _SemijoinLayout) -> None:
+        self.target = layout.target
+        self.source = layout.source
+        self.tkey = layout.tkey
+        self.skey = layout.skey
+        self.tget = _key_getter(layout.tkey)
+        self.sget = _key_getter(layout.skey)
 
 
-#: Join-step shapes resolved at compile time (see ``compile_plan``).
-_JOIN_SEMI_MOTHER = 0  # child ⊆ mother: mother := mother ⋉ child
-_JOIN_SEMI_CHILD = 1  # mother ⊆ child: mother := child ⋉ mother
-_JOIN_GENERAL = 2  # hash join combining rows
+def _getter_or_none(positions: Optional[Tuple[int, ...]]):
+    return None if positions is None else _tuple_getter(positions)
 
 
 class _JoinOp:
@@ -305,447 +160,41 @@ class _JoinOp:
         "kw",
     )
 
-    def __init__(
-        self,
-        kind: int,
-        mother: int,
-        node: int,
-        tag: int,
-        *,
-        proj_get=None,
-        has_proj: bool = False,
-        mkey: Tuple[int, ...] = (),
-        ckey: Tuple[int, ...] = (),
-        cnew=None,
-        extract=None,
-        kw: int = 0,
-    ) -> None:
-        self.kind = kind
-        self.mother = mother
-        self.node = node
-        self.tag = tag
-        self.proj_get = proj_get
-        self.has_proj = has_proj
-        self.mkey = mkey
-        self.ckey = ckey
-        self.mget = _key_getter(mkey)
-        self.cget = _key_getter(ckey)
-        self.cnew = cnew
-        self.extract = extract
-        self.kw = kw
+    def __init__(self, layout: _JoinLayout) -> None:
+        self.kind = layout.kind
+        self.mother = layout.mother
+        self.node = layout.node
+        self.tag = layout.tag
+        self.proj_get = _getter_or_none(layout.proj_pos)
+        self.has_proj = layout.has_proj
+        self.mkey = layout.mkey
+        self.ckey = layout.ckey
+        self.mget = _key_getter(layout.mkey)
+        self.cget = _key_getter(layout.ckey)
+        self.cnew = _getter_or_none(layout.cnew_pos)
+        self.extract = _getter_or_none(layout.extract_pos)
+        self.kw = layout.kw
 
 
-class _SemijoinLayout:
-    """Position-only description of one reducer step (see :func:`plan_layout`)."""
-
-    __slots__ = ("target", "source", "tkey", "skey")
-
-    def __init__(
-        self,
-        target: int,
-        source: int,
-        tkey: Tuple[int, ...],
-        skey: Tuple[int, ...],
-    ) -> None:
-        self.target = target
-        self.source = source
-        self.tkey = tkey
-        self.skey = skey
-
-
-class _JoinLayout:
-    """Position-only description of one join step (see :func:`plan_layout`).
-
-    ``proj_pos`` (child-semijoin shape), ``extract_pos`` and ``cnew_pos``
-    (general shape) carry the column positions the compiled backend turns
-    into ``itemgetter`` programs; ``None`` marks a position program the shape
-    does not use.  ``ckey`` follows the compiled convention: positions in the
-    *unprojected* child row for the mother-semijoin shape, positions in the
-    projected child layout otherwise (the pair also keys stats lineages).
-    """
-
-    __slots__ = (
-        "kind",
-        "mother",
-        "node",
-        "tag",
-        "has_proj",
-        "mkey",
-        "ckey",
-        "kw",
-        "proj_pos",
-        "extract_pos",
-        "cnew_pos",
-    )
-
-    def __init__(
-        self,
-        kind: int,
-        mother: int,
-        node: int,
-        tag: int,
-        *,
-        has_proj: bool = False,
-        mkey: Tuple[int, ...] = (),
-        ckey: Tuple[int, ...] = (),
-        kw: int = 0,
-        proj_pos: Optional[Tuple[int, ...]] = None,
-        extract_pos: Optional[Tuple[int, ...]] = None,
-        cnew_pos: Optional[Tuple[int, ...]] = None,
-    ) -> None:
-        self.kind = kind
-        self.mother = mother
-        self.node = node
-        self.tag = tag
-        self.has_proj = has_proj
-        self.mkey = mkey
-        self.ckey = ckey
-        self.kw = kw
-        self.proj_pos = proj_pos
-        self.extract_pos = extract_pos
-        self.cnew_pos = cnew_pos
-
-
-class _PlanLayout:
-    """The fully positional step program shared by the execution backends.
-
-    ``final_positions`` is ``None`` when the root's final layout already
-    matches the target's canonical column order (projection is a no-op).
-    """
-
-    __slots__ = ("semijoins", "joins", "final_positions")
-
-    def __init__(
-        self,
-        semijoins: Tuple[_SemijoinLayout, ...],
-        joins: Tuple[_JoinLayout, ...],
-        final_positions: Optional[Tuple[int, ...]],
-    ) -> None:
-        self.semijoins = semijoins
-        self.joins = joins
-        self.final_positions = final_positions
-
-
-def plan_layout(prepared) -> _PlanLayout:
-    """Replay the plan's column algebra symbolically into a positional layout.
-
-    The columns every slot carries at each join step are a function of the
-    plan alone (the same recurrence :class:`~repro.engine.prepared
-    .PreparedQuery` uses to place its early projections), so the shape of
-    every join — semijoin degeneration included — is decided here, once.
-    Intermediate column layouts are *not* kept sorted: a general join's
-    output layout is the mother's layout followed by the child's new
-    columns, so the execution-time combine is a bare concatenation and only
-    the final projection re-establishes the canonical order.
-
-    Both the compiled (tuple-program) and vectorized (array-program)
-    backends consume this layout, which is what keeps their step semantics
-    — and their stats lineages — identical by construction.
-    """
-    schema = prepared.schema
-    columns: Tuple[Tuple[Attribute, ...], ...] = tuple(
-        relation.sorted_attributes() for relation in schema.relations
-    )
-    positions = tuple(
-        {column: index for index, column in enumerate(cols)} for cols in columns
-    )
-    semijoins: List[_SemijoinLayout] = []
-    for step in prepared.semijoin_steps:
-        tcols, scols = columns[step.target], columns[step.source]
-        shared = sorted(set(tcols) & set(scols))
-        semijoins.append(
-            _SemijoinLayout(
-                step.target,
-                step.source,
-                tuple(positions[step.target][a] for a in shared),
-                tuple(positions[step.source][a] for a in shared),
-            )
-        )
-
-    current: Dict[int, Tuple[Attribute, ...]] = {
-        index: cols for index, cols in enumerate(columns)
-    }
-    joins: List[_JoinLayout] = []
-    for tag, step in enumerate(prepared.join_steps):
-        orig_child_cols = current[step.node]
-        orig_positions = {c: i for i, c in enumerate(orig_child_cols)}
-        child_cols = orig_child_cols
-        has_proj = step.projection is not None
-        if has_proj:
-            child_cols = step.projection.sorted_attributes()
-        mother_cols = current[step.mother]
-        mother_positions = {c: i for i, c in enumerate(mother_cols)}
-        mother_set = set(mother_cols)
-        shared = sorted(mother_set & set(child_cols))
-        mkey = tuple(mother_positions[c] for c in shared)
-        if len(shared) == len(child_cols):
-            # Projection (if any) keeps exactly the key columns, so the key
-            # set read off the unprojected rows IS the projected child; no
-            # materialization needed.
-            joins.append(
-                _JoinLayout(
-                    _JOIN_SEMI_MOTHER,
-                    step.mother,
-                    step.node,
-                    tag,
-                    has_proj=has_proj,
-                    mkey=mkey,
-                    ckey=tuple(orig_positions[c] for c in shared),
-                )
-            )
-            current[step.mother] = mother_cols
-            continue
-        child_positions = {c: i for i, c in enumerate(child_cols)}
-        ckey = tuple(child_positions[c] for c in shared)
-        if len(shared) == len(mother_cols):
-            proj_pos = (
-                tuple(orig_positions[c] for c in child_cols) if has_proj else None
-            )
-            joins.append(
-                _JoinLayout(
-                    _JOIN_SEMI_CHILD,
-                    step.mother,
-                    step.node,
-                    tag,
-                    has_proj=has_proj,
-                    mkey=mkey,
-                    ckey=ckey,
-                    proj_pos=proj_pos,
-                )
-            )
-            current[step.mother] = child_cols
-            continue
-        new_cols = tuple(c for c in child_cols if c not in mother_set)
-        if has_proj:
-            # One pass extracts (key, new) in that order off the unprojected
-            # rows; since key ∪ new covers every projected column, deduping
-            # the extraction IS the projection.
-            extract_pos: Optional[Tuple[int, ...]] = tuple(
-                [orig_positions[c] for c in shared]
-                + [orig_positions[c] for c in new_cols]
-            )
-            cnew_pos: Optional[Tuple[int, ...]] = None
-        else:
-            extract_pos = None
-            cnew_pos = tuple(child_positions[c] for c in new_cols)
-        joins.append(
-            _JoinLayout(
-                _JOIN_GENERAL,
-                step.mother,
-                step.node,
-                tag,
-                has_proj=has_proj,
-                mkey=mkey,
-                ckey=ckey,
-                kw=len(shared),
-                extract_pos=extract_pos,
-                cnew_pos=cnew_pos,
-            )
-        )
-        current[step.mother] = mother_cols + new_cols
-
-    final_columns = prepared.final_projection.sorted_attributes()
-    final_positions: Optional[Tuple[int, ...]]
-    if columns:
-        root_cols = current[prepared.root]
-        if final_columns == root_cols:
-            final_positions = None
-        else:
-            root_positions = {c: i for i, c in enumerate(root_cols)}
-            final_positions = tuple(root_positions[c] for c in final_columns)
-    else:
-        final_positions = None
-    return _PlanLayout(tuple(semijoins), tuple(joins), final_positions)
-
-
-def build_row_ops(layout: _PlanLayout):
-    """Compile a positional layout into row-tuple step programs.
-
-    Returns ``(semijoin_ops, join_ops, final_get)`` — the ``itemgetter``
-    programs :func:`execute_row_program` runs.
-    """
-    semijoin_ops = tuple(
-        _SemijoinOp(sj.target, sj.source, sj.tkey, sj.skey)
-        for sj in layout.semijoins
-    )
-    join_ops: List[_JoinOp] = []
-    for jl in layout.joins:
-        if jl.kind == _JOIN_SEMI_MOTHER:
-            join_ops.append(
-                _JoinOp(
-                    jl.kind,
-                    jl.mother,
-                    jl.node,
-                    jl.tag,
-                    has_proj=jl.has_proj,
-                    mkey=jl.mkey,
-                    ckey=jl.ckey,
-                )
-            )
-        elif jl.kind == _JOIN_SEMI_CHILD:
-            join_ops.append(
-                _JoinOp(
-                    jl.kind,
-                    jl.mother,
-                    jl.node,
-                    jl.tag,
-                    proj_get=(
-                        _tuple_getter(jl.proj_pos)
-                        if jl.proj_pos is not None
-                        else None
-                    ),
-                    has_proj=jl.has_proj,
-                    mkey=jl.mkey,
-                    ckey=jl.ckey,
-                )
-            )
-        else:
-            join_ops.append(
-                _JoinOp(
-                    jl.kind,
-                    jl.mother,
-                    jl.node,
-                    jl.tag,
-                    has_proj=jl.has_proj,
-                    mkey=jl.mkey,
-                    ckey=jl.ckey,
-                    cnew=(
-                        _tuple_getter(jl.cnew_pos)
-                        if jl.cnew_pos is not None
-                        else None
-                    ),
-                    extract=(
-                        _tuple_getter(jl.extract_pos)
-                        if jl.extract_pos is not None
-                        else None
-                    ),
-                    kw=jl.kw,
-                )
-            )
-    final_get = (
-        None
-        if layout.final_positions is None
-        else _tuple_getter(layout.final_positions)
-    )
-    return semijoin_ops, tuple(join_ops), final_get
-
-
-class CompiledPlan:
-    """A fully positional, interned-value program for one prepared query.
+class CompiledPlan(InternedPlan):
+    """A fully positional, interned-value row program for one prepared query.
 
     Built once per :class:`~repro.engine.prepared.PreparedQuery` (see its
-    ``compiled`` property); owns the per-attribute interning dictionaries
-    shared by every state the plan ever executes, the per-step position
-    programs, and a bounded per-slot encoding cache used by
-    :meth:`execute_batch`.
+    ``compiled`` property).  The interner, encoding cache and batch entry
+    points live in :class:`~repro.relational.interned.InternedPlan`; this
+    class adds the per-step ``itemgetter`` programs and the row kernel.
     """
 
-    #: Cap on cached encodings per slot — bounds what long-running serving
-    #: processes can accumulate while keeping whole batches of repeated
-    #: relations resident.  Sized above typical batch fan-outs: an LRU whose
-    #: cap sits just *below* the working set degrades to 100% misses under
-    #: sequentially repeated batches.
-    _ENCODE_CACHE_MAX = 1024
+    backend = "compiled"
 
-    #: Consecutive misses after which a slot's encode cache turns itself off.
-    #: A slot whose relation never repeats (a per-request fact table) pays
-    #: hashing and LRU bookkeeping for nothing; shared slots keep hitting and
-    #: never trip this.  ``clear_encode_cache`` re-arms a tripped slot.
-    _CACHE_MISS_STREAK_MAX = 512
+    __slots__ = ("_final_get",)
 
-    __slots__ = (
-        "schema",
-        "target",
-        "root",
-        "slot_columns",
-        "_modes",
-        "_intern",
-        "_values",
-        "_encode_lock",
-        "_semijoin_ops",
-        "_join_ops",
-        "_final_get",
-        "_final_columns",
-        "_final_schema",
-        "_slot_cache",
-        "_cache_meta",
-        "max_interned_values",
-        "interner_epoch",
-    )
-
-    def __init__(
-        self, prepared, *, max_interned_values: Optional[int] = _USE_DEFAULT_CAP
-    ) -> None:
-        schema = prepared.schema
-        self.schema = schema
-        self.target = prepared.target
-        self.root = prepared.root
-        columns: Tuple[Tuple[Attribute, ...], ...] = tuple(
-            relation.sorted_attributes() for relation in schema.relations
-        )
-        self.slot_columns = columns
-
-        self._modes: Dict[Attribute, Optional[int]] = {
-            attribute: None for attribute in schema.attributes
-        }
-        self._intern: Dict[Attribute, Dict[Any, Any]] = {
-            attribute: {} for attribute in schema.attributes
-        }
-        self._values: Dict[Attribute, List[Any]] = {
-            attribute: [] for attribute in schema.attributes
-        }
-        self._encode_lock = threading.Lock()
-        self._slot_cache: Tuple["OrderedDict[Relation, _Encoding]", ...] = tuple(
-            OrderedDict() for _ in columns
-        )
-        # Per slot: [consecutive miss count, cache disabled flag].
-        self._cache_meta: List[List[int]] = [[0, 0] for _ in columns]
-        #: Interned-value cap; ``None`` disables epoch rollover entirely.
-        #: Plain-assignable: serving processes may tune it on a live plan
-        #: (the cap is only read at state-encode boundaries).
-        self.max_interned_values: Optional[int] = (
-            DEFAULT_MAX_INTERNED_VALUES
-            if max_interned_values is _USE_DEFAULT_CAP
-            else max_interned_values
-        )
-        #: Number of interner epochs opened so far (0 = the original epoch).
-        self.interner_epoch = 0
-
-        # -- step programs: turn the shared positional layout into getters ---
-        # ``plan_layout`` replays the column algebra symbolically (see its
-        # notes); ``build_row_ops`` compiles each layout entry's positions
-        # into ``itemgetter`` programs over code-tuple rows.
-        self._semijoin_ops, self._join_ops, self._final_get = build_row_ops(
-            plan_layout(prepared)
-        )
-
-        # -- final projection ---------------------------------------------------
-        final = prepared.final_projection
-        self._final_schema = final
-        self._final_columns = final.sorted_attributes()
+    def _compile(self, layout: _PlanLayout) -> None:
+        self._semijoins = tuple(_SemijoinOp(sj) for sj in layout.semijoins)
+        self._joins = tuple(_JoinOp(jl) for jl in layout.joins)
+        self._final_get = _getter_or_none(layout.final_positions)
 
     # -- encoding --------------------------------------------------------------
-
-    def _stray_code(self, attribute: Attribute, value: Any) -> Any:
-        """Code for a non-int value in an identity-mode column.
-
-        Values equal to an int (``2.0``, ``True``, ``Decimal(3)``) must join
-        with that int, so they canonicalize onto the int itself; everything
-        else is interned to a :class:`_Stray` wrapper, one per distinct value.
-        """
-        intern_map = self._intern[attribute]
-        code = intern_map.get(value)
-        if code is None:
-            try:
-                as_int = int(value)
-            except (TypeError, ValueError, OverflowError):
-                as_int = None
-            if as_int is not None and as_int == value:
-                code = as_int
-            else:
-                code = _Stray(value)
-            intern_map[value] = code
-        return code
 
     def _encode_relation(self, slot: int, relation: Relation) -> _Encoding:
         """Encode one relation column-major into code tuples (no cache)."""
@@ -765,530 +214,217 @@ class CompiledPlan:
         coded_columns: List[Sequence[Any]] = []
         for attribute, column in zip(attrs, zip(*rows)):
             mode = modes[attribute]
-            if mode is None:
-                mode = _MODE_IDENTITY if pure_int_column(column) else _MODE_DICT
-                modes[attribute] = mode
-            if mode == _MODE_IDENTITY:
+            if mode != _MODE_DICT:
+                # Classified once: native ints carry themselves as codes;
+                # anything else pins a fresh attribute to dictionary mode
+                # or promotes a pinned identity one.
                 if pure_int_column(column):
+                    if mode is None:
+                        modes[attribute] = _MODE_IDENTITY
                     coded_columns.append(column)
-                else:
-                    stray = self._stray_code
-                    coded_columns.append(
-                        [
-                            v if type(v) is int else stray(attribute, v)
-                            for v in column
-                        ]
-                    )
-                continue
-            # Hot path of string-heavy encoding.  On the serving steady
-            # state the interner has already seen every value the column
-            # carries (fresh states drawing from a stable domain), so the
-            # whole column encodes as one C-level ``map`` over the interning
-            # dictionary — measured ~1.8× over the per-cell loop (see
-            # docs/performance.md).  A novel value raises ``KeyError`` and
-            # falls back to the interning loop with the dictionary locally
-            # bound; the map attempt is gated on a non-empty interner so the
-            # cold first column never pays a guaranteed-failing scan.
-            intern_map = self._intern[attribute]
-            values = self._values[attribute]
-            if intern_map:
-                try:
-                    coded_columns.append(list(map(intern_map.__getitem__, column)))
                     continue
-                except KeyError:
-                    pass
-            get = intern_map.get
-            codes: List[int] = []
-            append = codes.append
-            for value in column:
-                code = get(value)
-                if code is None:
-                    code = len(values)
-                    intern_map[value] = code
-                    values.append(value)
-                append(code)
-            coded_columns.append(codes)
+                if mode is not None:
+                    raise _PromoteToDict(attribute)
+                modes[attribute] = _MODE_DICT
+            coded_columns.append(self._intern_column(attribute, column))
         return _Encoding(tuple(zip(*coded_columns)))
 
-    def _decoders(self) -> Tuple[Optional[Any], ...]:
-        """Per-final-column decoders for the *current* interner epoch.
-
-        ``None`` means the column's codes are the values themselves (pure
-        identity columns); identity columns that interned strays unwrap them;
-        dictionary columns index their value list.  Captured onto each
-        :class:`CompiledState` at encode time (under the encode lock), so a
-        state always decodes against the epoch that minted its codes — even
-        if the plan has rolled its interner over since.
-        """
-        decoders: List[Optional[Any]] = []
-        for attribute in self._final_columns:
-            mode = self._modes[attribute]
-            if mode == _MODE_DICT:
-                decoders.append(self._values[attribute].__getitem__)
-            elif self._intern[attribute]:
-                decoders.append(_unwrap)
-            else:
-                decoders.append(None)
-        return tuple(decoders)
-
-    def encode_state(
-        self,
-        state: DatabaseState,
-        *,
-        use_cache: bool = True,
-        stats: Optional[ExecutionStats] = None,
-    ) -> "CompiledState":
-        """Encode a database state against this plan's interner.
-
-        With ``use_cache`` (the default for batches), encodings are looked up
-        in the per-slot bounded cache keyed by the relation value, so states
-        that repeat a slot's rows share one encoding — and therefore one set
-        of key indexes.  Encoding mutates the shared interning dictionaries
-        and is serialized by a per-plan lock.  Execution never mutates rows,
-        but it does lazily *fill* the per-encoding index caches outside that
-        lock: concurrent threads may race to insert the same immutable index
-        (a benign duplicate build under the GIL; on free-threaded builds
-        those dict writes are unsynchronized and would need the lock).
-        """
-        schema = state.schema
-        if schema is not self.schema and schema != self.schema:
-            raise SchemaError("the state is for a different schema than the query")
-        encodings: List[_Encoding] = []
-        with self._encode_lock:
-            cap = self.max_interned_values
-            if cap is not None and self.interned_value_count() > cap:
-                self._open_interner_epoch_locked()
-                if stats is not None:
-                    stats.interner_resets += 1
-            for slot, relation in enumerate(state.relations):
-                meta = self._cache_meta[slot]
-                caching = use_cache and not meta[1]
-                if caching:
-                    cache = self._slot_cache[slot]
-                    encoding = cache.get(relation)
-                    if encoding is not None:
-                        cache.move_to_end(relation)
-                        meta[0] = 0
-                        if stats is not None:
-                            stats.cached_slots += 1
-                        encodings.append(encoding)
-                        continue
-                encoding = self._encode_relation(slot, relation)
-                if stats is not None:
-                    stats.encoded_slots += 1
-                if caching:
-                    cache = self._slot_cache[slot]
-                    cache[relation] = encoding
-                    if len(cache) > self._ENCODE_CACHE_MAX:
-                        cache.popitem(last=False)
-                    meta[0] += 1
-                    if meta[0] > self._CACHE_MISS_STREAK_MAX:
-                        meta[1] = 1
-                        cache.clear()
-                encodings.append(encoding)
-            decoders = self._decoders()
-        if stats is not None:
-            stats.states += 1
-        return CompiledState(self, state, tuple(encodings), decoders)
+    # Bound in the class body (not only inherited) so per-kernel
+    # instrumentation can wrap each kernel's encode on its own class.
+    encode_state = InternedPlan.encode_state
 
     # -- execution -------------------------------------------------------------
 
     def execute(
         self,
-        compiled_state: "CompiledState",
+        encoded: InternedState,
         stats: Optional[ExecutionStats] = None,
     ) -> YannakakisRun:
-        """Run the compiled program against one encoded state.
+        """Run the row program against one encoded state.
 
         Semantics — result, semijoin/join counts and the intermediate-size
         accounting — match the classic executor exactly; the equivalence
-        suite checks this on random schemas and states.
+        suites check this on random schemas and states.
         """
-        if compiled_state.plan is not self:
-            raise SchemaError("the compiled state belongs to a different plan")
+        if encoded.plan is not self:
+            raise SchemaError("the encoded state belongs to a different plan")
         if not self.slot_columns:
-            # The empty schema: ⋈ ∅ is the nullary-true relation (the same
-            # constant PreparedQuery.execute returns before routing here).
-            return YannakakisRun(
-                result=Relation.nullary_true(),
-                semijoin_count=0,
-                join_count=0,
-                max_intermediate_size=1,
-                backend="compiled",
-                stats=stats,
-            )
-        final_rows, join_count, max_intermediate = execute_row_program(
-            self._semijoin_ops,
-            self._join_ops,
-            self.root,
-            self._final_get,
-            list(compiled_state.encodings),
-            stats,
-        )
+            return self._empty_schema_run(stats)
+        # ``views`` holds one encoding per slot (``keysets``/``buckets``
+        # filled lazily) and is rebound as steps replace slot views.
+        views: List[_Encoding] = list(encoded.encodings)
 
-        # Final projection + decode: the only value-level materialization
-        # (and a no-op for pure identity-mode columns).
-        result = Relation.from_interned(
-            self._final_schema,
-            self._final_columns,
-            final_rows,
-            compiled_state.decoders,
-        )
-        if len(result) > max_intermediate:
-            max_intermediate = len(result)
-        return YannakakisRun(
-            result=result,
-            semijoin_count=len(self._semijoin_ops),
-            join_count=join_count,
-            max_intermediate_size=max_intermediate,
-            backend="compiled",
-            stats=stats,
-        )
-
-    def execute_state(
-        self, state: DatabaseState, stats: Optional[ExecutionStats] = None
-    ) -> YannakakisRun:
-        """Encode (cache-assisted) and execute one state."""
-        return self.execute(
-            self.encode_state(state, stats=stats), stats=stats
-        )
-
-    def execute_batch(
-        self,
-        states: Iterable[DatabaseState],
-        stats: Optional[ExecutionStats] = None,
-    ) -> List[YannakakisRun]:
-        """Execute many states as one batch with shared instrumentation.
-
-        All states share the plan's interner and per-slot encoding cache, so
-        slots whose rows repeat across states are encoded — and their key
-        indexes built — once for the whole batch; states repeated verbatim
-        (duplicate requests) are executed once and their immutable run is
-        shared.  Every returned run carries the same :class:`ExecutionStats`
-        object describing the batch; a wrapping plan (the cyclic prologue
-        adapter of :mod:`repro.engine.cyclic`) may pass its own ``stats`` to
-        fold pre-batch accounting into the same object.
-        """
-        if stats is None:
-            stats = ExecutionStats()
-        runs: List[YannakakisRun] = []
-        memo: Dict[DatabaseState, YannakakisRun] = {}
-        for state in states:
-            run = memo.get(state)
-            if run is None:
-                run = self.execute_state(state, stats=stats)
-                memo[state] = run
-            else:
-                stats.deduped_states += 1
-            runs.append(run)
-        return runs
-
-
-    # -- maintenance -----------------------------------------------------------
-
-    def _open_interner_epoch_locked(self) -> None:
-        """Rebuild the interner and retire every encoding of the old epoch.
-
-        Called at a state-encode boundary with the encode lock held, *before*
-        the incoming state is encoded: the dictionary-mode interning maps and
-        value lists (and the identity-mode stray tables living in the same
-        maps) are **replaced with fresh objects** — never cleared in place —
-        and the slot encoding caches are dropped wholesale, because every
-        cached encoding holds code tuples minted by the retired epoch and
-        must never mix with codes of the new one.  Attribute *modes* stay
-        pinned (they describe column shape, not code assignment).
-
-        Replacement rather than clearing is what makes rollover safe for
-        everything in flight: each :class:`CompiledState` captures its
-        epoch's decoders — bound to that epoch's value-list objects — at
-        encode time, so states encoded before a rollover (including ones a
-        concurrent thread is executing right now, and ones a caller pinned
-        long-term) keep decoding against the retired epoch's intact lists.
-        The retired objects die with the last such state.
-        """
-        self._intern = {attribute: {} for attribute in self._intern}
-        self._values = {attribute: [] for attribute in self._values}
-        for cache in self._slot_cache:
-            cache.clear()
-        for meta in self._cache_meta:
-            meta[0] = 0
-            meta[1] = 0
-        self.interner_epoch += 1
-
-    def cache_sizes(self) -> Tuple[int, ...]:
-        """Cached encodings per slot (diagnostic)."""
-        return tuple(len(cache) for cache in self._slot_cache)
-
-    def clear_encode_cache(self) -> None:
-        """Drop cached slot encodings and re-arm tripped slot caches (the
-        interner is left intact)."""
-        with self._encode_lock:
-            for cache in self._slot_cache:
-                cache.clear()
-            for meta in self._cache_meta:
-                meta[0] = 0
-                meta[1] = 0
-
-    def interned_value_count(self) -> int:
-        """Total distinct values interned across all attributes (diagnostic).
-
-        Identity-mode int values are never interned, so this counts only
-        dictionary-mode values and identity-mode strays.
-        """
-        return sum(len(intern_map) for intern_map in self._intern.values())
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return (
-            f"CompiledPlan(schema={self.schema.to_notation()!r}, "
-            f"target={self.target.to_notation()!r}, "
-            f"semijoins={len(self._semijoin_ops)}, joins={len(self._join_ops)})"
-        )
-
-
-def execute_row_program(
-    semijoin_ops: Tuple[_SemijoinOp, ...],
-    join_ops: Tuple[_JoinOp, ...],
-    root: int,
-    final_get,
-    views: List[_Encoding],
-    stats: Optional[ExecutionStats] = None,
-) -> Tuple[Iterable, int, int]:
-    """Run the row-tuple reducer + bottom-up join program over ``views``.
-
-    The execution core of the compiled backend: ``views`` holds one
-    :class:`_Encoding` per slot (``keysets``/``buckets`` filled lazily) and
-    is mutated in place as steps replace slot views.  Returns
-    ``(final_rows, join_count, max_intermediate)`` with ``final_rows`` still
-    interned — the caller decodes against its own epoch decoders.
-
-    Semantics — result, semijoin/join counts and the intermediate-size
-    accounting — match the classic executor exactly; the equivalence suites
-    check this on random schemas and states.
-    """
-    # Phase 1: the full-reducer semijoin program.  Key-set lookups are
-    # inlined (this loop runs per state on the serving path).
-    for op in semijoin_ops:
-        source_view = views[op.source]
-        source_keys = source_view.keysets.get(op.skey)
-        if source_keys is None:
-            source_keys = set(map(op.sget, source_view.rows))
-            source_view.keysets[op.skey] = source_keys
-            if stats is not None:
-                lineage = (op.source, op.skey)
-                builds = stats.keyset_builds
-                builds[lineage] = builds.get(lineage, 0) + 1
-        target_view = views[op.target]
-        target_keys = target_view.keysets.get(op.tkey)
-        if target_keys is None:
-            target_keys = set(map(op.tget, target_view.rows))
-            target_view.keysets[op.tkey] = target_keys
-            if stats is not None:
-                lineage = (op.target, op.tkey)
-                builds = stats.keyset_builds
-                builds[lineage] = builds.get(lineage, 0) + 1
-        if target_keys <= source_keys:
-            if stats is not None:
-                stats.identity_semijoins += 1
-            continue
-        getter = op.tget
-        kept = tuple(
-            row for row in target_view.rows if getter(row) in source_keys
-        )
-        filtered = _Encoding(kept)
-        filtered.keysets[op.tkey] = target_keys & source_keys
-        views[op.target] = filtered
-        if stats is not None:
-            stats.filtering_semijoins += 1
-    max_intermediate = max((len(view.rows) for view in views), default=0)
-
-    # Phase 2: the bottom-up join with early projection.
-    join_count = 0
-    for op in join_ops:
-        child_view = views[op.node]
-        mother_view = views[op.mother]
-        join_count += 1
-        if op.kind == _JOIN_SEMI_MOTHER:
-            cached = child_view.buckets.get(op.tag)
-            if cached is None:
-                # The (projected) child's columns are exactly the key, so
-                # its key set is its row set — read in one composed pass.
-                keys = set(map(op.cget, child_view.rows))
-                proj_len: Optional[int] = len(keys) if op.has_proj else None
-                child_view.buckets[op.tag] = (keys, proj_len)  # type: ignore[assignment]
+        # Phase 1: the full-reducer semijoin program.  Key-set lookups are
+        # inlined (this loop runs per state on the serving path).
+        for op in self._semijoins:
+            source_view = views[op.source]
+            source_keys = source_view.keysets.get(op.skey)
+            if source_keys is None:
+                source_keys = set(map(op.sget, source_view.rows))
+                source_view.keysets[op.skey] = source_keys
                 if stats is not None:
-                    lineage = (op.node, op.ckey)
-                    builds = stats.bucket_builds
+                    lineage = (op.source, op.skey)
+                    builds = stats.keyset_builds
                     builds[lineage] = builds.get(lineage, 0) + 1
-            else:
-                keys, proj_len = cached  # type: ignore[assignment]
-            if proj_len is not None and proj_len > max_intermediate:
-                max_intermediate = proj_len
-            # Identity detection keeps the mother's view object — and
-            # with it every cached index a later step (where this slot is
-            # the child) would otherwise rebuild.  On consistent states
-            # the mother's key set is usually already cached from the
-            # reducer phase, making the check allocation-free.
-            mother_keys = mother_view.keysets.get(op.mkey)
-            if mother_keys is not None and mother_keys <= keys:
-                joined = mother_view
-            else:
-                getter = op.mget
-                kept = tuple(
-                    row for row in mother_view.rows if getter(row) in keys
-                )
-                if len(kept) == len(mother_view.rows):
-                    joined = mother_view
-                else:
-                    joined = _Encoding(kept)
-        elif op.kind == _JOIN_SEMI_CHILD:
-            if op.proj_get is not None:
-                # The projected child is a function of the (possibly
-                # shared) child view alone — cache it there, like the
-                # other join shapes cache their buckets.
+            target_view = views[op.target]
+            target_keys = target_view.keysets.get(op.tkey)
+            if target_keys is None:
+                target_keys = set(map(op.tget, target_view.rows))
+                target_view.keysets[op.tkey] = target_keys
+                if stats is not None:
+                    lineage = (op.target, op.tkey)
+                    builds = stats.keyset_builds
+                    builds[lineage] = builds.get(lineage, 0) + 1
+            if target_keys <= source_keys:
+                if stats is not None:
+                    stats.identity_semijoins += 1
+                continue
+            getter = op.tget
+            kept = tuple(
+                row for row in target_view.rows if getter(row) in source_keys
+            )
+            filtered = _Encoding(kept)
+            filtered.keysets[op.tkey] = target_keys & source_keys
+            views[op.target] = filtered
+            if stats is not None:
+                stats.filtering_semijoins += 1
+        max_intermediate = max((len(view.rows) for view in views), default=0)
+
+        # Phase 2: the bottom-up join with early projection.
+        for op in self._joins:
+            child_view = views[op.node]
+            mother_view = views[op.mother]
+            if op.kind == _JOIN_SEMI_MOTHER:
                 cached = child_view.buckets.get(op.tag)
                 if cached is None:
-                    child_rows: Iterable = tuple(
-                        set(map(op.proj_get, child_view.rows))
-                    )
-                    child_view.buckets[op.tag] = (child_rows, len(child_rows))  # type: ignore[assignment]
+                    # The (projected) child's columns are exactly the key, so
+                    # its key set is its row set — read in one composed pass.
+                    keys = set(map(op.cget, child_view.rows))
+                    proj_len: Optional[int] = len(keys) if op.has_proj else None
+                    child_view.buckets[op.tag] = (keys, proj_len)  # type: ignore[assignment]
                     if stats is not None:
                         lineage = (op.node, op.ckey)
                         builds = stats.bucket_builds
                         builds[lineage] = builds.get(lineage, 0) + 1
                 else:
-                    child_rows = cached[0]
-                if len(child_rows) > max_intermediate:  # type: ignore[arg-type]
-                    max_intermediate = len(child_rows)  # type: ignore[arg-type]
-            else:
-                child_rows = child_view.rows
-            mother_keys = mother_view.keysets.get(op.mkey)
-            if mother_keys is None:
-                mother_keys = set(map(op.mget, mother_view.rows))
-                mother_view.keysets[op.mkey] = mother_keys
-                if stats is not None:
-                    lineage = (op.mother, op.mkey)
-                    builds = stats.keyset_builds
-                    builds[lineage] = builds.get(lineage, 0) + 1
-            getter = op.cget
-            kept = tuple(row for row in child_rows if getter(row) in mother_keys)
-            if op.proj_get is None and len(kept) == len(child_view.rows):
-                joined = child_view
-            else:
-                joined = _Encoding(kept)
-        else:
-            cached = child_view.buckets.get(op.tag)
-            if cached is None:
-                # Buckets store the pre-extracted *new* child columns, so
-                # the probe loop below is a bare tuple concatenation.
-                grouped: Dict[Any, list] = {}
-                setdefault = grouped.setdefault
-                if op.extract is not None:
-                    # Composed projection: dedup the (key, new) extraction
-                    # (≡ the projected child), then split by fixed width.
-                    extracted = set(map(op.extract, child_view.rows))
-                    proj_len = len(extracted)
-                    kw = op.kw
-                    if kw == 1:
-                        for row in extracted:
-                            setdefault(row[0], []).append(row[1:])
-                    else:
-                        for row in extracted:
-                            setdefault(row[:kw], []).append(row[kw:])
+                    keys, proj_len = cached  # type: ignore[assignment]
+                if proj_len is not None and proj_len > max_intermediate:
+                    max_intermediate = proj_len
+                # Identity detection keeps the mother's view object — and
+                # with it every cached index a later step (where this slot is
+                # the child) would otherwise rebuild.  On consistent states
+                # the mother's key set is usually already cached from the
+                # reducer phase, making the check allocation-free.
+                mother_keys = mother_view.keysets.get(op.mkey)
+                if mother_keys is not None and mother_keys <= keys:
+                    joined = mother_view
                 else:
-                    proj_len = None
-                    cget = op.cget
-                    cnew = op.cnew
-                    for row in child_view.rows:
-                        setdefault(cget(row), []).append(cnew(row))
-                buckets = {key: tuple(parts) for key, parts in grouped.items()}
-                child_view.buckets[op.tag] = (buckets, proj_len)
-                if stats is not None:
-                    lineage = (op.node, op.ckey)
-                    builds = stats.bucket_builds
-                    builds[lineage] = builds.get(lineage, 0) + 1
+                    getter = op.mget
+                    kept = tuple(
+                        row for row in mother_view.rows if getter(row) in keys
+                    )
+                    if len(kept) == len(mother_view.rows):
+                        joined = mother_view
+                    else:
+                        joined = _Encoding(kept)
+            elif op.kind == _JOIN_SEMI_CHILD:
+                if op.proj_get is not None:
+                    # The projected child is a function of the (possibly
+                    # shared) child view alone — cache it there, like the
+                    # other join shapes cache their buckets.
+                    cached = child_view.buckets.get(op.tag)
+                    if cached is None:
+                        child_rows: Iterable = tuple(
+                            set(map(op.proj_get, child_view.rows))
+                        )
+                        child_view.buckets[op.tag] = (child_rows, len(child_rows))  # type: ignore[assignment]
+                        if stats is not None:
+                            lineage = (op.node, op.ckey)
+                            builds = stats.bucket_builds
+                            builds[lineage] = builds.get(lineage, 0) + 1
+                    else:
+                        child_rows = cached[0]
+                    if len(child_rows) > max_intermediate:  # type: ignore[arg-type]
+                        max_intermediate = len(child_rows)  # type: ignore[arg-type]
+                else:
+                    child_rows = child_view.rows
+                mother_keys = mother_view.keysets.get(op.mkey)
+                if mother_keys is None:
+                    mother_keys = set(map(op.mget, mother_view.rows))
+                    mother_view.keysets[op.mkey] = mother_keys
+                    if stats is not None:
+                        lineage = (op.mother, op.mkey)
+                        builds = stats.keyset_builds
+                        builds[lineage] = builds.get(lineage, 0) + 1
+                getter = op.cget
+                kept = tuple(row for row in child_rows if getter(row) in mother_keys)
+                if op.proj_get is None and len(kept) == len(child_view.rows):
+                    joined = child_view
+                else:
+                    joined = _Encoding(kept)
             else:
-                buckets, proj_len = cached
-            if proj_len is not None and proj_len > max_intermediate:
-                max_intermediate = proj_len
-            # Distinct (mother row, part) pairs concatenate injectively —
-            # key + new part cover every child column — so the output
-            # rows are distinct by construction and need no dedup set.
-            combined: List[Tuple[int, ...]] = []
-            append = combined.append
-            mget = op.mget
-            get_bucket = buckets.get
-            for mrow in mother_view.rows:
-                bucket = get_bucket(mget(mrow))
-                if bucket:
-                    for part in bucket:
-                        append(mrow + part)
-            joined = _Encoding(tuple(combined))
-        if len(joined.rows) > max_intermediate:
-            max_intermediate = len(joined.rows)
-        views[op.mother] = joined
+                cached = child_view.buckets.get(op.tag)
+                if cached is None:
+                    # Buckets store the pre-extracted *new* child columns, so
+                    # the probe loop below is a bare tuple concatenation.
+                    grouped: Dict[Any, list] = {}
+                    setdefault = grouped.setdefault
+                    if op.extract is not None:
+                        # Composed projection: dedup the (key, new) extraction
+                        # (≡ the projected child), then split by fixed width.
+                        extracted = set(map(op.extract, child_view.rows))
+                        proj_len = len(extracted)
+                        kw = op.kw
+                        if kw == 1:
+                            for row in extracted:
+                                setdefault(row[0], []).append(row[1:])
+                        else:
+                            for row in extracted:
+                                setdefault(row[:kw], []).append(row[kw:])
+                    else:
+                        proj_len = None
+                        cget = op.cget
+                        cnew = op.cnew
+                        for row in child_view.rows:
+                            setdefault(cget(row), []).append(cnew(row))
+                    buckets = {key: tuple(parts) for key, parts in grouped.items()}
+                    child_view.buckets[op.tag] = (buckets, proj_len)
+                    if stats is not None:
+                        lineage = (op.node, op.ckey)
+                        builds = stats.bucket_builds
+                        builds[lineage] = builds.get(lineage, 0) + 1
+                else:
+                    buckets, proj_len = cached
+                if proj_len is not None and proj_len > max_intermediate:
+                    max_intermediate = proj_len
+                # Distinct (mother row, part) pairs concatenate injectively —
+                # key + new part cover every child column — so the output
+                # rows are distinct by construction and need no dedup set.
+                combined: List[Tuple[int, ...]] = []
+                append = combined.append
+                mget = op.mget
+                get_bucket = buckets.get
+                for mrow in mother_view.rows:
+                    bucket = get_bucket(mget(mrow))
+                    if bucket:
+                        for part in bucket:
+                            append(mrow + part)
+                joined = _Encoding(tuple(combined))
+            if len(joined.rows) > max_intermediate:
+                max_intermediate = len(joined.rows)
+            views[op.mother] = joined
 
-    # Final projection: still interned — the caller decodes.
-    root_rows = views[root].rows
-    if final_get is None:
-        final_rows: Iterable = root_rows
-    else:
-        final_rows = set(map(final_get, root_rows))
-    return final_rows, join_count, max_intermediate
-
-
-class CompiledState:
-    """One database state encoded against a plan's interner.
-
-    Holds one (possibly cache-shared) :class:`_Encoding` per relation slot,
-    plus the decoders of the interner epoch that minted its codes (so the
-    state stays executable across epoch rollovers).  Immutable from the
-    executor's point of view: execution replaces slot views instead of
-    mutating their rows, so a ``CompiledState`` can be executed any number
-    of times.  Under the GIL concurrent executions are safe (they may
-    redundantly fill an encoding's index caches); on free-threaded builds
-    those lazy cache fills are unsynchronized.
-    """
-
-    __slots__ = ("plan", "state", "encodings", "decoders")
-
-    def __init__(
-        self,
-        plan: CompiledPlan,
-        state: DatabaseState,
-        encodings: Tuple[_Encoding, ...],
-        decoders: Optional[Tuple[Optional[Any], ...]] = None,
-    ) -> None:
-        self.plan = plan
-        self.state = state
-        self.encodings = encodings
-        # Direct constructions (tests, tooling) default to the plan's
-        # current-epoch decoders; encode_state always passes the captured
-        # ones explicitly.
-        self.decoders = plan._decoders() if decoders is None else decoders
-
-    @classmethod
-    def from_state(
-        cls,
-        plan: CompiledPlan,
-        state: DatabaseState,
-        *,
-        use_cache: bool = True,
-        stats: Optional[ExecutionStats] = None,
-    ) -> "CompiledState":
-        """Encode ``state`` for ``plan`` (the public entry point)."""
-        return plan.encode_state(state, use_cache=use_cache, stats=stats)
-
-    def execute(self, stats: Optional[ExecutionStats] = None) -> YannakakisRun:
-        """Run the owning plan against this encoded state."""
-        return self.plan.execute(self, stats=stats)
-
-    def total_rows(self) -> int:
-        """Total encoded tuples across all slots."""
-        return sum(len(encoding.rows) for encoding in self.encodings)
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        sizes = ", ".join(str(len(encoding.rows)) for encoding in self.encodings)
-        return f"CompiledState({self.plan.schema.to_notation()!r}, sizes=[{sizes}])"
+        # Final projection + decode: the only value-level materialization
+        # (and a no-op for pure identity-mode columns).
+        root_rows = views[self.root].rows
+        final_get = self._final_get
+        final_rows: Iterable = (
+            root_rows if final_get is None else set(map(final_get, root_rows))
+        )
+        result = Relation.from_interned(
+            self._final_schema, self._final_columns, final_rows, encoded.decoders
+        )
+        return self._run(result, max_intermediate, stats)
 
 
 def compile_plan(

@@ -67,9 +67,8 @@ def _coerce_schema(attributes: _AttributesLike) -> RelationSchema:
 def pure_int_column(column: Iterable[Any]) -> bool:
     """True when every cell is a *native* ``int`` (``bool`` excluded).
 
-    The per-column form of :func:`pure_int_rows`; such a column of interned
-    codes is its own decoding (value == code in identity mode), so decode
-    paths can skip per-cell work entirely.
+    The per-column form of :func:`pure_int_rows`: the row kernel's identity
+    mode carries exactly such columns (value == code).
     """
     return all(type(value) is int for value in column)
 
@@ -239,7 +238,7 @@ class Relation:
     ) -> "Relation":
         """Decode rows of interned codes back into a relation.
 
-        The column-major decode path of the compiled execution backend
+        The column-major decode path of the row kernel
         (:mod:`repro.relational.compiled`): ``decoders[i]`` maps the codes of
         column ``i`` back to values, with ``None`` meaning the codes *are*
         the values (identity-mode integer columns).  When every column is an
@@ -247,13 +246,6 @@ class Relation:
         :meth:`_from_trusted`, callers must pass ``columns ==
         schema.sorted_attributes()``; decode runs column-wise so the per-cell
         work is a C-level ``map`` over each column.
-
-        Decoders marked ``identity_when_int`` (the compiled backend's
-        identity-mode stray unwrapper) additionally skip the decode map
-        whenever the column at hand is classified pure-int by
-        :func:`pure_int_column`: the attribute may
-        have interned strays plan-wide, but *this* result column carries only
-        native ints, which are their own values.
         """
         if not columns or all(decoder is None for decoder in decoders):
             rows: FrozenSet[Tuple[Any, ...]] = frozenset(code_rows)
@@ -265,13 +257,7 @@ class Relation:
             )
             if materialized:
                 decoded_columns = [
-                    column
-                    if decoder is None
-                    or (
-                        getattr(decoder, "identity_when_int", False)
-                        and pure_int_column(column)
-                    )
-                    else tuple(map(decoder, column))
+                    column if decoder is None else tuple(map(decoder, column))
                     for decoder, column in zip(decoders, zip(*materialized))
                 ]
                 rows = frozenset(zip(*decoded_columns))

@@ -1,14 +1,16 @@
-"""Array-backed vectorized execution backend for prepared queries.
+"""The array kernel: interned-value execution on numpy int64 code columns.
 
-The compiled backend (:mod:`repro.relational.compiled`) freezes the plan's
-column algebra into positional step programs, but still *executes* them as
-per-row Python: key sets are built by mapping ``itemgetter`` over tuple rows,
-semijoins probe Python sets row by row, and general joins concatenate tuples
-in a Python loop.  Since every intermediate is already a table of dense
-``int`` codes, all of that is vector work in disguise.  This module runs the
-same positional programs (:func:`repro.relational.compiled.plan_layout` is
-shared verbatim, so the step semantics — and the stats lineages — are
-identical by construction) over contiguous int64 **code arrays**:
+The row kernel (:mod:`repro.relational.compiled`) runs the plan's positional
+step programs as per-row Python: key sets are built by mapping
+``itemgetter`` over tuple rows, semijoins probe Python sets row by row, and
+general joins concatenate tuples in a Python loop.  Since every intermediate
+is already a table of dense ``int`` codes, all of that is vector work in
+disguise.  A :class:`VectorizedPlan` runs the same layout
+(:func:`repro.relational.interned.plan_layout`, so the step semantics — and
+the stats lineages — are identical by construction) over contiguous int64
+**code arrays**.  Its interner, mode policy, encoding cache, epochs and batch
+entry points are the shared core of :mod:`repro.relational.interned`; this
+module holds only the array encoding and the numpy kernels:
 
 * **Representation.**  Each relation slot encodes column-major into one
   contiguous ``numpy`` int64 array per column.  Composite
@@ -18,9 +20,8 @@ identical by construction) over contiguous int64 **code arrays**:
 * **Semijoins as membership masks.**  A key set is the sorted unique key
   array (``np.unique``); membership is a batch binary search
   (``searchsorted`` + one vectorized equality), and filtering is a boolean
-  gather.  Subset checks (the identity-semijoin detection the compiled
-  backend does with ``set <= set``) are the same mask, reduced with
-  ``all()``.
+  gather.  Subset checks (the identity-semijoin detection the row kernel
+  does with ``set <= set``) are the same mask, reduced with ``all()``.
 * **Mother/child semijoin joins as gathers.**  The degenerate join shapes
   reuse the membership mask; early projections dedup via
   ``np.unique(return_index)`` over the projected key block and gather the
@@ -33,59 +34,41 @@ identical by construction) over contiguous int64 **code arrays**:
   with no per-row Python at all.
 * **Bulk interning.**  Dictionary-mode encode of an all-string column runs
   ``np.unique(return_inverse)`` over the raw values and only walks the
-  *unique* values through the interning dictionary — the vectorized
-  canonical-value mode the ROADMAP left open.  Warm columns still take the
-  C-level ``map`` fast path shared with the compiled backend.
+  *unique* values through the interning dictionary.  Warm columns still take
+  the shared C-level ``map`` fast path.
 
-**Interning modes and promotion.**  Codes must live in int64 arrays, so the
-compiled backend's ``_Stray`` wrappers (objects used as out-of-band codes in
-identity-mode columns) have no representation here.  Instead, an attribute
-pinned identity-mode that later meets a non-int value — or an int outside
-int64 — is **promoted** to dictionary mode: the promotion drops every cached
-slot encoding (their identity codes for that attribute are retired) and
-restarts the in-progress state encode so a single state never mixes modes.
-Promotions are monotone (identity → dict only) and surface as
-:attr:`VectorizedPlan.mode_promotions`.  Numeric-tower equality
-(``1 == 1.0 == True``) holds in dictionary mode for free: equal values are
-equal dict keys, so they intern to one code.
-
-**Epochs, caches, lifecycle.**  The plan mirrors the compiled backend's
-bounded growth machinery one-for-one: per-slot LRU encoding caches with
-miss-streak self-disable, a ``max_interned_values`` cap whose overflow opens
-a new interner epoch at the next state-encode boundary, and per-state
-decoders captured at encode time so in-flight states decode against the
-epoch that minted their codes.
-
-**Process boundaries.**  Like a ``CompiledPlan``, a ``VectorizedPlan`` never
-crosses a process boundary; workers rebuild plans from ``PlanSpec``.
+**What identity mode carries.**  Codes must live in int64 arrays, so an
+identity column holds ints that fit int64 (a column mixing ints and bools
+canonicalizes ``True``/``False`` onto ``1``/``0``, which preserves
+equality).  A pinned identity column that meets anything else — a string, a
+float, an int beyond int64 — is promoted to dictionary mode by the shared
+encode loop.
 
 The classic executor remains the property-test oracle
-(``tests/relational/test_vectorized_equivalence.py``), with the compiled
-backend as a second cross-check.
+(``tests/relational/test_vectorized_equivalence.py``), with the row kernel
+as a second cross-check.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from operator import itemgetter
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..exceptions import SchemaError
-from .compiled import (
-    DEFAULT_MAX_INTERNED_VALUES,
+from .interned import (
     ExecutionStats,
-    _JOIN_GENERAL,
+    InternedPlan,
+    InternedState,
     _JOIN_SEMI_CHILD,
     _JOIN_SEMI_MOTHER,
     _MODE_DICT,
     _MODE_IDENTITY,
+    _PlanLayout,
+    _PromoteToDict,
     _USE_DEFAULT_CAP,
-    plan_layout,
 )
-from .database import DatabaseState
 from .relation import Relation
 from .yannakakis import YannakakisRun
 
@@ -96,18 +79,8 @@ __all__ = [
 ]
 
 
-class _PromoteToDict(Exception):
-    """Internal: an identity-mode column met a value int64 cannot carry.
-
-    Raised inside a state encode and handled at the encode loop: the
-    attribute's mode flips to dictionary, stale caches are dropped, and the
-    state encode restarts from its first slot (modes only ever move
-    identity → dict, so the restart loop terminates).
-    """
-
-    def __init__(self, attribute: Any) -> None:
-        super().__init__(attribute)
-        self.attribute = attribute
+#: The encoded-state type of both kernels, under its array-kernel name.
+VectorizedState = InternedState
 
 
 class _VecEncoding:
@@ -282,79 +255,23 @@ def _general_bucket(child: _VecEncoding, op):
     return group_keys, starts, counts, new_sorted, proj_len
 
 
-class VectorizedPlan:
-    """An array-program twin of :class:`~repro.relational.compiled.CompiledPlan`.
+class VectorizedPlan(InternedPlan):
+    """An interned-value array program for one prepared query.
 
     Built once per :class:`~repro.engine.prepared.PreparedQuery` (see its
-    ``vectorized`` property); owns the per-attribute interning dictionaries,
-    the positional step layout shared with the compiled backend, and the
-    same bounded per-slot encoding cache.  Execution semantics — results,
-    semijoin/join counts, intermediate-size accounting, and the lineage
-    attribution of :class:`~repro.relational.compiled.ExecutionStats` —
-    match the compiled backend branch for branch.
+    ``vectorized`` property).  The interner, encoding cache and batch entry
+    points live in :class:`~repro.relational.interned.InternedPlan`; this
+    class adds the array encoding and kernel.  Execution semantics —
+    results, semijoin/join counts, intermediate-size accounting, and the
+    lineage attribution of :class:`~repro.relational.interned.ExecutionStats`
+    — match the row kernel branch for branch.
     """
 
-    _ENCODE_CACHE_MAX = 1024
-    _CACHE_MISS_STREAK_MAX = 512
+    backend = "vectorized"
 
-    __slots__ = (
-        "schema",
-        "target",
-        "root",
-        "slot_columns",
-        "_modes",
-        "_intern",
-        "_values",
-        "_encode_lock",
-        "_semijoins",
-        "_joins",
-        "_final_positions",
-        "_final_permutes",
-        "_final_schema",
-        "_final_columns",
-        "_slot_cache",
-        "_cache_meta",
-        "max_interned_values",
-        "interner_epoch",
-        "mode_promotions",
-    )
+    __slots__ = ("_final_positions", "_final_permutes")
 
-    def __init__(
-        self, prepared, *, max_interned_values: Optional[int] = _USE_DEFAULT_CAP
-    ) -> None:
-        schema = prepared.schema
-        self.schema = schema
-        self.target = prepared.target
-        self.root = prepared.root
-        columns = tuple(
-            relation.sorted_attributes() for relation in schema.relations
-        )
-        self.slot_columns = columns
-        self._modes: Dict[Any, Optional[int]] = {
-            attribute: None for attribute in schema.attributes
-        }
-        self._intern: Dict[Any, Dict[Any, int]] = {
-            attribute: {} for attribute in schema.attributes
-        }
-        self._values: Dict[Any, List[Any]] = {
-            attribute: [] for attribute in schema.attributes
-        }
-        self._encode_lock = threading.Lock()
-        self._slot_cache: Tuple["OrderedDict[Relation, _VecEncoding]", ...] = tuple(
-            OrderedDict() for _ in columns
-        )
-        self._cache_meta: List[List[int]] = [[0, 0] for _ in columns]
-        self.max_interned_values: Optional[int] = (
-            DEFAULT_MAX_INTERNED_VALUES
-            if max_interned_values is _USE_DEFAULT_CAP
-            else max_interned_values
-        )
-        self.interner_epoch = 0
-        #: Identity→dictionary mode promotions forced by stray or oversized
-        #: values arriving in a pinned identity column (see module notes).
-        self.mode_promotions = 0
-
-        layout = plan_layout(prepared)
+    def _compile(self, layout: _PlanLayout) -> None:
         self._semijoins = layout.semijoins
         self._joins = layout.joins
         self._final_positions = layout.final_positions
@@ -364,9 +281,6 @@ class VectorizedPlan:
         self._final_permutes = layout.final_positions is not None and sorted(
             layout.final_positions
         ) == list(range(len(layout.final_positions)))
-        final = prepared.final_projection
-        self._final_schema = final
-        self._final_columns = final.sorted_attributes()
 
     # -- encoding --------------------------------------------------------------
 
@@ -382,8 +296,8 @@ class VectorizedPlan:
         dtype/ndim check.  The one deliberate coarsening: a *mixed* int/bool
         column converts to int64, canonicalizing ``True``/``False`` onto
         ``1``/``0``.  That is equality-preserving (``True == 1`` across the
-        numeric tower, and the dictionary mode of both backends already
-        canonicalizes tower-equal values onto one representative), so
+        numeric tower, and dictionary mode already canonicalizes
+        tower-equal values onto one representative), so
         results still compare equal to the classic oracle's.
         """
         try:
@@ -395,53 +309,22 @@ class VectorizedPlan:
         return None
 
     def _encode_dict_column(self, attribute: Any, column):
-        """One dictionary-mode column as a contiguous int64 code array.
+        """One cold dictionary-mode column as a contiguous int64 code array.
 
-        Warm columns — every value already interned, the serving steady
-        state on stable value domains — encode as one C-level ``map`` over
-        the interning dictionary (the idiom shared with the compiled
-        backend) and stay columnar: no zip back into row tuples.  A novel
-        value falls through to the bulk path: for all-string columns,
+        Called once the warm ``map`` over the interning dictionary has
+        failed (or the interner is empty).  For all-string columns,
         ``np.unique`` collapses the raw values at C speed and only the
         *unique* values touch the interning dictionary, so per-cell Python
-        work is proportional to the distinct-value count, not the row count
-        (the vectorized canonical-value mode).  Everything else takes the
-        interning loop.
+        work is proportional to the distinct-value count, not the row count.
+        Everything else takes the shared interning loop.
         """
-        intern_map = self._intern[attribute]
-        values = self._values[attribute]
-        if intern_map:
-            try:
-                codes = list(map(intern_map.__getitem__, column))
-            except KeyError:
-                pass
-            else:
-                return np.asarray(codes, dtype=np.int64)
         # The type scan runs as C-level ``map``; mixed columns must never
         # reach ``np.asarray`` below, which would silently stringify them.
         if set(map(type, column)) == {str}:
             uniques, inverse = np.unique(np.asarray(column), return_inverse=True)
-            unique_codes = np.empty(len(uniques), dtype=np.int64)
-            get = intern_map.get
-            for position, value in enumerate(uniques.tolist()):
-                code = get(value)
-                if code is None:
-                    code = len(values)
-                    intern_map[value] = code
-                    values.append(value)
-                unique_codes[position] = code
-            return unique_codes[inverse]
-        get = intern_map.get
-        codes = []
-        append = codes.append
-        for value in column:
-            code = get(value)
-            if code is None:
-                code = len(values)
-                intern_map[value] = code
-                values.append(value)
-            append(code)
-        return np.asarray(codes, dtype=np.int64)
+            codes = self._intern_novel(attribute, uniques.tolist())
+            return np.asarray(codes, dtype=np.int64)[inverse]
+        return np.asarray(self._intern_novel(attribute, column), dtype=np.int64)
 
     def _encode_relation(self, slot: int, relation: Relation) -> _VecEncoding:
         """Encode one relation column-major into int64 code arrays."""
@@ -511,122 +394,28 @@ class VectorizedPlan:
             coded.append(self._encode_dict_column(attribute, column))
         return _VecEncoding(tuple(coded), n)
 
-    def _decoders(self) -> Tuple[Optional[Any], ...]:
-        """Per-final-column decoders for the *current* interner epoch.
-
-        ``None`` for identity columns (no strays exist in this backend —
-        they promote instead); dictionary columns index their epoch's value
-        list.  Captured onto each :class:`VectorizedState` at encode time.
-        """
-        return tuple(
-            self._values[attribute].__getitem__
-            if self._modes[attribute] == _MODE_DICT
-            else None
-            for attribute in self._final_columns
-        )
-
-    def _encode_all_locked(self, state: DatabaseState, use_cache: bool):
-        """One cache-assisted encode pass over every slot (lock held)."""
-        encodings: List[_VecEncoding] = []
-        encoded = cached_hits = 0
-        for slot, relation in enumerate(state.relations):
-            meta = self._cache_meta[slot]
-            caching = use_cache and not meta[1]
-            if caching:
-                cache = self._slot_cache[slot]
-                encoding = cache.get(relation)
-                if encoding is not None:
-                    cache.move_to_end(relation)
-                    meta[0] = 0
-                    cached_hits += 1
-                    encodings.append(encoding)
-                    continue
-            encoding = self._encode_relation(slot, relation)
-            encoded += 1
-            if caching:
-                cache = self._slot_cache[slot]
-                cache[relation] = encoding
-                if len(cache) > self._ENCODE_CACHE_MAX:
-                    cache.popitem(last=False)
-                meta[0] += 1
-                if meta[0] > self._CACHE_MISS_STREAK_MAX:
-                    meta[1] = 1
-                    cache.clear()
-            encodings.append(encoding)
-        return encodings, encoded, cached_hits
-
-    def encode_state(
-        self,
-        state: DatabaseState,
-        *,
-        use_cache: bool = True,
-        stats: Optional[ExecutionStats] = None,
-    ) -> "VectorizedState":
-        """Encode a database state against this plan's interner.
-
-        Mirrors :meth:`CompiledPlan.encode_state` (bounded per-slot caches,
-        epoch rollover at the cap, captured decoders), plus the
-        identity→dictionary promotion restart described in the module notes.
-        Stats are committed only after a successful pass, so a restarted
-        encode is not double-counted.
-        """
-        schema = state.schema
-        if schema is not self.schema and schema != self.schema:
-            raise SchemaError("the state is for a different schema than the query")
-        with self._encode_lock:
-            cap = self.max_interned_values
-            if cap is not None and self.interned_value_count() > cap:
-                self._open_interner_epoch_locked()
-                if stats is not None:
-                    stats.interner_resets += 1
-            while True:
-                try:
-                    encodings, encoded, cached_hits = self._encode_all_locked(
-                        state, use_cache
-                    )
-                    break
-                except _PromoteToDict as promote:
-                    self._modes[promote.attribute] = _MODE_DICT
-                    self.mode_promotions += 1
-                    # Cached encodings of slots containing the promoted
-                    # attribute carry identity codes for it and must go; a
-                    # slot without the attribute is untouched by the mode
-                    # flip, so its cache (and future hits) survive.
-                    for slot, columns in enumerate(self.slot_columns):
-                        if promote.attribute in columns:
-                            self._slot_cache[slot].clear()
-            decoders = self._decoders()
-        if stats is not None:
-            stats.states += 1
-            stats.encoded_slots += encoded
-            stats.cached_slots += cached_hits
-        return VectorizedState(self, state, tuple(encodings), decoders)
+    # Bound in the class body (not only inherited) so per-kernel
+    # instrumentation can wrap each kernel's encode on its own class.
+    encode_state = InternedPlan.encode_state
 
     # -- execution -------------------------------------------------------------
 
     def execute(
         self,
-        vectorized_state: "VectorizedState",
+        encoded: InternedState,
         stats: Optional[ExecutionStats] = None,
     ) -> YannakakisRun:
-        """Run the vector program against one encoded state.
+        """Run the array program against one encoded state.
 
         Semantics — result, semijoin/join counts and the intermediate-size
-        accounting — match the classic and compiled executors exactly; the
+        accounting — match the classic and row executors exactly; the
         equivalence suite checks this on random schemas and states.
         """
-        if vectorized_state.plan is not self:
-            raise SchemaError("the vectorized state belongs to a different plan")
+        if encoded.plan is not self:
+            raise SchemaError("the encoded state belongs to a different plan")
         if not self.slot_columns:
-            return YannakakisRun(
-                result=Relation.nullary_true(),
-                semijoin_count=0,
-                join_count=0,
-                max_intermediate_size=1,
-                backend="vectorized",
-                stats=stats,
-            )
-        views: List[_VecEncoding] = list(vectorized_state.encodings)
+            return self._empty_schema_run(stats)
+        views: List[_VecEncoding] = list(encoded.encodings)
 
         # Phase 1: the full-reducer semijoin program as membership masks.
         for op in self._semijoins:
@@ -663,11 +452,9 @@ class VectorizedPlan:
         max_intermediate = max((view.n for view in views), default=0)
 
         # Phase 2: the bottom-up join as gathers.
-        join_count = 0
         for op in self._joins:
             child_view = views[op.node]
             mother_view = views[op.mother]
-            join_count += 1
             if op.kind == _JOIN_SEMI_MOTHER:
                 cached = child_view.buckets.get(op.tag)
                 if cached is None:
@@ -814,154 +601,14 @@ class VectorizedPlan:
             rows = frozenset([()]) if final_n else frozenset()
         else:
             decoded = []
-            for column, decoder in zip(final_columns, vectorized_state.decoders):
+            for column, decoder in zip(final_columns, encoded.decoders):
                 cells = column.tolist()
                 decoded.append(cells if decoder is None else list(map(decoder, cells)))
             rows = frozenset(zip(*decoded))
         result = Relation._from_trusted(
             self._final_schema, self._final_columns, rows
         )
-        if len(result) > max_intermediate:
-            max_intermediate = len(result)
-        return YannakakisRun(
-            result=result,
-            semijoin_count=len(self._semijoins),
-            join_count=join_count,
-            max_intermediate_size=max_intermediate,
-            backend="vectorized",
-            stats=stats,
-        )
-
-    def execute_state(
-        self, state: DatabaseState, stats: Optional[ExecutionStats] = None
-    ) -> YannakakisRun:
-        """Encode (cache-assisted) and execute one state."""
-        return self.execute(self.encode_state(state, stats=stats), stats=stats)
-
-    def execute_batch(
-        self,
-        states: Iterable[DatabaseState],
-        stats: Optional[ExecutionStats] = None,
-    ) -> List[YannakakisRun]:
-        """Execute many states as one batch with shared instrumentation.
-
-        Identical contract to :meth:`CompiledPlan.execute_batch`: shared
-        interner and slot caches across the batch, repeated states executed
-        once, one :class:`ExecutionStats` describing the whole batch
-        (caller-supplied via ``stats`` when a wrapping plan needs to fold in
-        its own accounting).
-        """
-        if stats is None:
-            stats = ExecutionStats()
-        runs: List[YannakakisRun] = []
-        memo: Dict[DatabaseState, YannakakisRun] = {}
-        for state in states:
-            run = memo.get(state)
-            if run is None:
-                run = self.execute_state(state, stats=stats)
-                memo[state] = run
-            else:
-                stats.deduped_states += 1
-            runs.append(run)
-        return runs
-
-    # -- maintenance -----------------------------------------------------------
-
-    def _open_interner_epoch_locked(self) -> None:
-        """Rebuild the interner and retire every encoding of the old epoch.
-
-        Same contract as the compiled backend's rollover: interning maps and
-        value lists are *replaced* (never cleared in place) so in-flight
-        states keep decoding against the retired epoch's intact lists, slot
-        caches are dropped wholesale, and attribute modes — including past
-        promotions — stay pinned.
-        """
-        self._intern = {attribute: {} for attribute in self._intern}
-        self._values = {attribute: [] for attribute in self._values}
-        for cache in self._slot_cache:
-            cache.clear()
-        for meta in self._cache_meta:
-            meta[0] = 0
-            meta[1] = 0
-        self.interner_epoch += 1
-
-    def cache_sizes(self) -> Tuple[int, ...]:
-        """Cached encodings per slot (diagnostic)."""
-        return tuple(len(cache) for cache in self._slot_cache)
-
-    def clear_encode_cache(self) -> None:
-        """Drop cached slot encodings and re-arm tripped slot caches (the
-        interner is left intact)."""
-        with self._encode_lock:
-            for cache in self._slot_cache:
-                cache.clear()
-            for meta in self._cache_meta:
-                meta[0] = 0
-                meta[1] = 0
-
-    def interned_value_count(self) -> int:
-        """Total distinct dictionary-mode values interned (diagnostic).
-
-        Identity-mode columns intern nothing in this backend — values that
-        would have been strays promote the attribute instead.
-        """
-        return sum(len(intern_map) for intern_map in self._intern.values())
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return (
-            f"VectorizedPlan(schema={self.schema.to_notation()!r}, "
-            f"target={self.target.to_notation()!r}, "
-            f"semijoins={len(self._semijoins)}, joins={len(self._joins)})"
-        )
-
-
-class VectorizedState:
-    """One database state encoded against a vectorized plan's interner.
-
-    Holds one (possibly cache-shared) :class:`_VecEncoding` per relation
-    slot plus the decoders of the interner epoch that minted its codes.
-    ``state`` is the source :class:`DatabaseState`.  Immutable from the
-    executor's point of view — execution replaces slot views instead of
-    mutating them — so it can be executed any number of times.
-    """
-
-    __slots__ = ("plan", "state", "encodings", "decoders")
-
-    def __init__(
-        self,
-        plan: VectorizedPlan,
-        state: DatabaseState,
-        encodings: Tuple[_VecEncoding, ...],
-        decoders: Optional[Tuple[Optional[Any], ...]] = None,
-    ) -> None:
-        self.plan = plan
-        self.state = state
-        self.encodings = encodings
-        self.decoders = plan._decoders() if decoders is None else decoders
-
-    @classmethod
-    def from_state(
-        cls,
-        plan: VectorizedPlan,
-        state: DatabaseState,
-        *,
-        use_cache: bool = True,
-        stats: Optional[ExecutionStats] = None,
-    ) -> "VectorizedState":
-        """Encode ``state`` for ``plan`` (the public entry point)."""
-        return plan.encode_state(state, use_cache=use_cache, stats=stats)
-
-    def execute(self, stats: Optional[ExecutionStats] = None) -> YannakakisRun:
-        """Run the owning plan against this encoded state."""
-        return self.plan.execute(self, stats=stats)
-
-    def total_rows(self) -> int:
-        """Total encoded tuples across all slots."""
-        return sum(encoding.n for encoding in self.encodings)
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        sizes = ", ".join(str(encoding.n) for encoding in self.encodings)
-        return f"VectorizedState({self.plan.schema.to_notation()!r}, sizes=[{sizes}])"
+        return self._run(result, max_intermediate, stats)
 
 
 def vectorize_plan(

@@ -30,8 +30,8 @@ from ..hypergraph.schema import DatabaseSchema, RelationSchema
 from .database import DatabaseState
 from .relation import Relation
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (compiled imports us)
-    from .compiled import ExecutionStats
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (interned imports us)
+    from .interned import ExecutionStats
 
 __all__ = [
     "SemijoinStep",
@@ -148,13 +148,13 @@ class YannakakisRun:
     query processing.
 
     ``backend`` reports which execution backend produced the run:
-    ``"classic"`` object-tuple operators, the ``"compiled"`` interned-value
-    kernel of :mod:`repro.relational.compiled`, or ``"parallel"`` when the
-    run came out of the sharded process-pool layer of
-    :mod:`repro.engine.parallel` (workers execute on the compiled kernel;
-    the batch entry point re-tags their runs).  ``stats`` carries the
-    compiled backend's instrumentation
-    (:class:`~repro.relational.compiled.ExecutionStats`, shared by all runs
+    ``"classic"`` object-tuple operators, the ``"compiled"`` row kernel of
+    :mod:`repro.relational.compiled`, the ``"vectorized"`` array kernel of
+    :mod:`repro.relational.vectorized`, or ``"parallel"`` when the run came
+    out of the sharded process-pool layer of :mod:`repro.engine.parallel`
+    (workers execute on a serial kernel; the batch entry point re-tags their
+    runs).  ``stats`` carries the interned kernels' instrumentation
+    (:class:`~repro.relational.interned.ExecutionStats`, shared by all runs
     of one batch; parallel batches share one merged
     :class:`~repro.engine.parallel.ParallelStats`) and is ``None`` on
     classic runs.  Neither field participates in equality: two runs that

@@ -314,6 +314,62 @@ class TestParallelCyclic:
             prepared.execute(state, backend="parallel")
 
 
+class TestStateAccounting:
+    """Every executed state is counted, single-node plans included.
+
+    The triangle ``ab,bc,ca`` → ``ab`` projects onto one node (``abc``), so
+    its kernels skip the inner plan; ``aring(4)`` → ``ac`` runs it.  The
+    serial kernels must report ``states + deduped_states == inputs`` and the
+    pool paths ``states == sum(shard_sizes) + fallback_runs``.
+    """
+
+    CASES = [
+        pytest.param(parse_schema("ab,bc,ca"), RelationSchema("ab"), id="single-node"),
+        pytest.param(aring(4), RelationSchema("ac"), id="multi-node"),
+    ]
+
+    def _batch(self, schema):
+        distinct = [
+            random_ur_database(schema, tuple_count=12, domain_size=4, rng=seed)
+            for seed in range(6)
+        ]
+        return distinct + distinct[:2]  # two verbatim duplicates
+
+    @pytest.mark.parametrize("backend", ["compiled", "vectorized"])
+    @pytest.mark.parametrize("schema, target", CASES)
+    def test_serial_kernels_count_every_state(self, schema, target, backend):
+        prepared = analyze(schema).prepare_cyclic(target)
+        states = self._batch(schema)
+        runs = prepared.execute_many(states, backend=backend)
+        stats = runs[0].stats
+        assert stats.deduped_states == 2
+        assert stats.states == len(states) - 2
+        single = prepared.execute(states[0], backend=backend)
+        assert single.result == runs[0].result
+
+    @pytest.mark.parametrize("schema, target", CASES)
+    def test_in_process_route_keeps_the_invariant(self, schema, target):
+        from repro.engine.parallel import execute_in_process
+
+        prepared = analyze(schema).prepare_cyclic(target)
+        states = self._batch(schema)
+        stats = execute_in_process(prepared, states)[0].stats
+        assert stats.states == len(states) - 2
+        assert stats.states == sum(stats.shard_sizes) + stats.fallback_runs
+
+    @pytest.mark.parametrize("schema, target", CASES)
+    def test_pool_keeps_the_invariant(self, schema, target):
+        from repro.engine import ParallelExecutor
+
+        prepared = analyze(schema).prepare_cyclic(target)
+        states = self._batch(schema)
+        with ParallelExecutor(workers=2) as pool:
+            runs = pool.execute_many(prepared, states)
+        stats = runs[0].stats
+        assert stats.states == len(states) - 2
+        assert stats.states == sum(stats.shard_sizes) + stats.fallback_runs
+
+
 class TestPlanSpecRoundTrip:
     """Cyclic plans serialize and rebuild through the analysis LRU."""
 

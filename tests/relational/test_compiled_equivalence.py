@@ -13,7 +13,9 @@ evidence the compilation is faithful.
 from __future__ import annotations
 
 import random
+from decimal import Decimal
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import analyze, clear_analysis_cache
@@ -33,7 +35,7 @@ from repro.relational import (
 
 #: Value pool spanning the numeric tower (1 == 1.0 == True) plus strings and
 #: None, so both interner modes (identity ints, dictionary codes) and the
-#: stray-canonicalization path are exercised.
+#: identity→dictionary promotion path are exercised.
 VALUES = st.one_of(
     st.integers(-3, 6),
     st.sampled_from([1.0, 2.5, -1.0, True, False, "a", "b", "v1", None]),
@@ -199,6 +201,7 @@ class TestValueSemantics:
         schema = DatabaseSchema([RelationSchema("ab"), RelationSchema("bc")])
         target = RelationSchema("ac")
         prepared = analyze(schema).prepare(target)
+        prepared.reset_compiled()  # other tests may share this cached plan
         first = DatabaseState(
             schema,
             [
@@ -217,6 +220,55 @@ class TestValueSemantics:
         classic = prepared.execute(mixed, backend="classic")
         compiled = prepared.execute(mixed, backend="compiled")
         _assert_runs_agree(classic, compiled)
+        assert prepared.compiled.mode_promotions >= 1
+
+    @pytest.mark.parametrize("backend", ["compiled", "vectorized"])
+    @pytest.mark.parametrize(
+        "stray, promotes",
+        [
+            # A native-int/bool mix still fits int64, so only the row kernel
+            # (identity = native ints only) promotes on a bool.
+            (True, {"compiled": 1, "vectorized": 0}),
+            (2.0, {"compiled": 1, "vectorized": 1}),
+            (Decimal(3), {"compiled": 1, "vectorized": 1}),
+            # Beyond int64: a native int the row kernel carries as its own
+            # code, but the array kernel cannot.
+            (1 << 70, {"compiled": 0, "vectorized": 1}),
+        ],
+        ids=["bool", "float", "decimal", "beyond-int64"],
+    )
+    def test_pinned_identity_column_meets_stray(self, backend, stray, promotes):
+        """One mode policy on both kernels: a tower-equal or oversized value
+        arriving in a pinned identity column promotes the attribute to
+        dictionary mode exactly when the kernel cannot carry it, and every
+        answer still equals the classic oracle's."""
+        schema = DatabaseSchema([RelationSchema("ab"), RelationSchema("bc")])
+        prepared = analyze(schema).prepare(RelationSchema("abc"))
+        prepared.reset_compiled()  # other tests may share this cached plan
+        plan = getattr(prepared, backend)
+        first = DatabaseState(
+            schema,
+            [
+                Relation(schema[0], [(5, 1), (6, 2)]),
+                Relation(schema[1], [(1, 9), (2, 8)]),
+            ],
+        )
+        plan.execute_state(first)  # pins a, b and c to identity mode
+        mixed = DatabaseState(
+            schema,
+            [
+                # Not equal to ``first``'s relations (equal relations would
+                # hit the slot cache and never reach the encoder).
+                Relation(schema[0], [(5, stray), (6, 2), (8, 7)]),
+                Relation(schema[1], [(int(stray), 9), (2, 8), (7, 7)]),
+            ],
+        )
+        for state in (mixed, first):
+            classic = prepared.execute(state, backend="classic")
+            run = plan.execute_state(state)
+            assert run.result == classic.result
+            assert run.max_intermediate_size == classic.max_intermediate_size
+        assert plan.mode_promotions == promotes[backend]
 
     def test_empty_relations_and_empty_target(self):
         schema = chain_schema(3)

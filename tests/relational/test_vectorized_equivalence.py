@@ -148,9 +148,10 @@ class TestCompiledStatsParity:
     """The vectorized kernel reproduces the compiled backend's execution
     accounting, not just its answers: same keyset/bucket build schedule,
     same identity-vs-filtering semijoin lineage, same encode/cache counts —
-    except after an identity→dictionary promotion, which the compiled
-    backend does not have (it canonicalizes strays in place); there the
-    per-slot totals still reconcile."""
+    except after an identity→dictionary promotion on either kernel (their
+    identity modes carry different values, so they promote on different
+    states and drop different cached encodings); there the per-slot totals
+    still reconcile."""
 
     @settings(max_examples=50, deadline=None)
     @given(tree_instances(max_states=3))
@@ -166,7 +167,7 @@ class TestCompiledStatsParity:
             assert vrun.result == crun.result
         for field in ("states", "identity_semijoins", "filtering_semijoins"):
             assert getattr(vstats, field) == getattr(cstats, field)
-        if vplan.mode_promotions == 0:
+        if vplan.mode_promotions == 0 and cplan.mode_promotions == 0:
             for field in (
                 "encoded_slots",
                 "cached_slots",
